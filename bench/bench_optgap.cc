@@ -267,7 +267,6 @@ main(int argc, char **argv)
     doc.set("suites", std::move(json_suites));
 
     finishBenchJson(cli, doc);
-    printDiskCacheSummary(cli);
     if (failed)
         std::printf("\nOPTIMALITY-GAP AUDIT FAILED\n");
     return failed ? 1 : 0;

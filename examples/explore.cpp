@@ -22,7 +22,7 @@
  *                  for every N.
  *   --partition S  Selective partitioner strategy: kl (default),
  *                  exact (the branch-and-bound oracle) or auto
- *   --no-cache     disable the structural compile cache
+ *   --no-cache     disable the schedule memo
  *
  * Every live-in is bound to a small default value (f64: 0.5, i64: 3);
  * results are checked against the reference interpreter.

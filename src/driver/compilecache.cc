@@ -16,10 +16,8 @@ bool g_cache_enabled = true;
 
 thread_local int tls_bypass_depth = 0;
 
-thread_local CompileSource tls_compile_source = CompileSource::None;
-
 /** Every semantic field of the machine, never its name: two machines
- *  that schedule identically must share cache entries. */
+ *  that schedule identically must share memo entries. */
 void
 appendMachineKey(std::ostringstream &out, const Machine &machine)
 {
@@ -81,10 +79,10 @@ compileCacheSetEnabled(bool enabled)
 bool
 compileCacheActive()
 {
-    // An armed deadline/cancellation context bypasses the cache for
+    // An armed deadline/cancellation context bypasses the memo for
     // the same reason an armed fault plan does: the outcome of such a
-    // compile depends on wall-clock time (or the caller's whim), and
-    // a cached DeadlineExceeded status would replay as a permanent
+    // run depends on wall-clock time (or the caller's whim), and a
+    // stored DeadlineExceeded status would replay as a permanent
     // failure long after the deadline that caused it.
     return g_cache_enabled && tls_bypass_depth == 0 &&
            !faultPlanArmed() && !deadlineArmed();
@@ -93,7 +91,6 @@ compileCacheActive()
 void
 compileCacheClear()
 {
-    compileCache().clear();
     scheduleCache().clear();
 }
 
@@ -105,48 +102,6 @@ CacheBypassScope::CacheBypassScope()
 CacheBypassScope::~CacheBypassScope()
 {
     --tls_bypass_depth;
-}
-
-std::string
-compileCacheKey(const Loop &loop, const ArrayTable &arrays,
-                const Machine &machine, Technique technique,
-                const DriverOptions &options)
-{
-    std::ostringstream out;
-    out << "compile " << techniqueName(technique) << "\n";
-    appendMachineKey(out, machine);
-    appendArraysKey(out, arrays);
-    // Only the knobs this technique consumes enter the key, so a
-    // sweep that flips a Selective-only flag (Table 4) still shares
-    // its ModuloOnly/Full compiles with the base sweep.
-    out << "opts";
-    if (technique == Technique::Traditional)
-        out << " expansion=" << options.expansionSize;
-    if (technique == Technique::Selective ||
-        technique == Technique::IterationSplit) {
-        out << " guard=" << options.vectorize.neighborGuard
-            << " reduce=" << options.vectorize.recognizeReductions;
-    }
-    if (technique == Technique::Selective) {
-        out << " comm=" << options.partition.cost.considerCommunication
-            << " kliters=" << options.partition.maxIterations
-            << " pstrat="
-            << partitionStrategyName(options.partition.strategy);
-        // The exact tier's knobs fragment the key only when they can
-        // change the partition: under the default KL strategy every
-        // threshold/budget produces the identical program, and one
-        // cache entry must serve them all.
-        if (options.partition.strategy != PartitionStrategy::Kl) {
-            out << " pthresh=" << options.partition.exactThreshold
-                << " pnodes=" << options.partition.exactMaxNodes;
-        }
-    }
-    if (technique == Technique::IterationSplit)
-        out << " itersplit=" << options.iterSplitUnroll;
-    out << "\n";
-    appendScheduleOptionsKey(out, options.scheduling);
-    out << writeLoop(loop, arrays);
-    return out.str();
 }
 
 std::string
@@ -163,56 +118,11 @@ scheduleCacheKey(const Loop &body, const ArrayTable &arrays,
     return out.str();
 }
 
-StructuralCache<CompileCacheValue> &
-compileCache()
-{
-    static StructuralCache<CompileCacheValue> cache;
-    return cache;
-}
-
 StructuralCache<ScheduleCacheValue> &
 scheduleCache()
 {
     static StructuralCache<ScheduleCacheValue> cache;
     return cache;
-}
-
-const char *
-compileSourceName(CompileSource source)
-{
-    switch (source) {
-      case CompileSource::None: return "none";
-      case CompileSource::Memory: return "memory";
-      case CompileSource::Disk: return "disk";
-      case CompileSource::Compiled: return "compiled";
-    }
-    return "none";
-}
-
-CompileSource
-lastCompileSource()
-{
-    return tls_compile_source;
-}
-
-void
-noteCompileSource(CompileSource source)
-{
-    tls_compile_source = source;
-}
-
-std::vector<StatEntry>
-captureStatsDelta(const StatsRegistry &registry)
-{
-    std::vector<StatEntry> delta;
-    for (StatEntry &e : registry.snapshot()) {
-        // The inner run's own cache traffic stays out of the stored
-        // delta: replaying a hit must not re-report nested misses.
-        if (e.key.compare(0, 6, "cache.") == 0)
-            continue;
-        delta.push_back(std::move(e));
-    }
-    return delta;
 }
 
 } // namespace selvec

@@ -1,43 +1,42 @@
 /**
  * @file
- * The structural compile cache: repeated kernels skip redundant
- * scheduling.
+ * The schedule memo: techniques that schedule the same loop share one
+ * schedule.
  *
- * Benches and ablation sweeps recompile the same loops over and over
- * — Table 4/5 re-run every suite under flag flips, every technique
- * of one suite schedules the identical cleanup loop, and a baseline
- * is recompiled per comparison. The cache keys compilation on the
- * *structure* of the request: the written LIR of the loop (the
- * canonical form `writeLoop` emits), the array table, the machine
- * configuration (every semantic field; never the name), the
- * technique, and the DriverOptions knobs that reach the technique's
- * codepath (a Selective-only knob does not fragment the ModuloOnly
- * key). The key is the full canonical string, not a lossy hash, so
- * two distinct requests can never alias one cached program.
+ * Every in-place technique (ModuloOnly, Full, Selective,
+ * IterationSplit) runs the leftover iterations of its transformed loop
+ * in a cleanup loop, and that cleanup is the untouched source loop. So
+ * the one piece of work a multi-technique run repeats is the
+ * lower+schedule+validate run of that source loop; Selective's main
+ * loop also repeats ModuloOnly's when KL keeps every op scalar. The
+ * memo sits inside scheduleInto and keys each run on the *structure*
+ * of the request: the written LIR of the loop (the canonical form
+ * `writeLoop` emits), the array table, every semantic machine field
+ * (never the name) and the scheduling options. The key is the full
+ * canonical string, not a lossy hash, so two distinct requests can
+ * never alias one schedule.
  *
- * Two levels share one mechanism: tryCompileLoop caches whole
- * compiles (program + post-compile array table), scheduleInto caches
- * individual lower+schedule+validate runs (which is where cross-
- * technique sharing happens — ModuloOnly, Full and Selective all
- * schedule the same source loop as their cleanup).
+ * Bound. The memo holds at most kCompileCacheCapacity entries; a new
+ * key arriving at a full memo clears it first. The shared cleanup
+ * schedule is needed by the techniques of one loop, which run close
+ * together, so a small bound keeps nearly every hit at a fraction of
+ * the memory an unbounded store would take.
  *
- * Determinism. Each cached value stores the stats delta its compile
- * recorded; a hit replays that delta into the caller's registry, so
- * the merged stats of a run do not depend on which requests hit.
- * Concurrent requests for one key deduplicate: the first claims the
- * slot and computes, the rest block until the value is ready and
- * count a `cache.hit` — hit/miss totals are invariant under --jobs.
- * `cache.full` counts computations that bypassed storage because the
- * level hit its capacity bound (determinism across cache states is
- * only guaranteed below the bound; the bound exists so a pathological
- * driver loop cannot grow the process without limit).
+ * Determinism. Each value stores the stats delta its run recorded; a
+ * hit replays that delta into the caller's registry, so the merged
+ * stats of a run do not depend on which requests hit. Concurrent
+ * requests for one key deduplicate: the first claims the slot and
+ * computes, the rest block until the value is ready and count a
+ * `cache.hit`. Below the bound hit/miss totals are invariant under
+ * --jobs; past it, which entries a clear drops depends on arrival
+ * order, so only the totals (never a result) can vary.
  *
- * Fault injection. Cached replay would skip the fault sites inside
- * the compile path, so the driver bypasses the cache entirely while
- * a FaultPlan is armed (faultPlanArmed()); CacheBypassScope gives
+ * Fault injection. Replaying a stored schedule would skip the fault
+ * sites inside it, so the driver bypasses the memo entirely while a
+ * FaultPlan or a deadline is armed; CacheBypassScope gives
  * speculative callers (the resilient fan-out) the same bypass
- * per-thread so discarded attempts neither pollute the cache nor
- * perturb hit/miss accounting.
+ * per-thread so discarded attempts neither fill the memo nor perturb
+ * hit/miss accounting.
  */
 
 #ifndef SELVEC_DRIVER_COMPILECACHE_HH
@@ -57,14 +56,14 @@
 namespace selvec
 {
 
-/** Entries one cache level holds before refusing new keys. */
-constexpr size_t kCompileCacheCapacity = 4096;
+/** Entries the schedule memo holds before a new key clears it. */
+constexpr size_t kCompileCacheCapacity = 256;
 
 /**
- * A keyed once-per-process computation store. Values are immutable
+ * A keyed computation store bounded by clearing. Values are immutable
  * once published and shared by pointer; compute callbacks run outside
  * the map lock, and concurrent requests for one key run the callback
- * exactly once (waiters block on the slot).
+ * exactly once (waiters block on the slot, which outlives a clear).
  */
 template <typename V>
 class StructuralCache
@@ -81,9 +80,9 @@ class StructuralCache
             auto it = slots.find(key);
             if (it != slots.end()) {
                 slot = it->second;
-            } else if (slots.size() >= kCompileCacheCapacity) {
-                slot = nullptr;
             } else {
+                if (slots.size() >= kCompileCacheCapacity)
+                    slots.clear();
                 slot = std::make_shared<Slot>();
                 slots.emplace(key, slot);
                 owner = true;
@@ -91,16 +90,7 @@ class StructuralCache
         }
 
         // Cache traffic counts straight into the process registry,
-        // bypassing capture sinks: a nested lookup (schedule level
-        // inside a compile-level compute) must surface in the report
-        // rather than be stripped with the stored delta. The totals
-        // stay jobs-invariant because dedup fixes the executed set.
-        if (slot == nullptr) {
-            // Full: compute without storing. Hit/miss determinism
-            // only holds below the capacity bound.
-            processStats().add("cache.full");
-            return std::make_shared<const V>(compute());
-        }
+        // bypassing capture sinks, so it never enters a stored delta.
         if (owner) {
             processStats().add("cache.miss");
             std::shared_ptr<const V> value;
@@ -156,17 +146,7 @@ class StructuralCache
     std::map<std::string, std::shared_ptr<Slot>> slots;
 };
 
-/** Cached outcome of one whole tryCompileLoop request. */
-struct CompileCacheValue
-{
-    bool ok = false;
-    Status status;              ///< the failure when !ok
-    CompiledProgram program;    ///< valid when ok
-    ArrayTable arrays;          ///< post-compile table (ok only)
-    std::vector<StatEntry> statsDelta;
-};
-
-/** Cached outcome of one scheduleInto run. */
+/** Memoized outcome of one scheduleInto run. */
 struct ScheduleCacheValue
 {
     Status status;
@@ -177,19 +157,19 @@ struct ScheduleCacheValue
     std::vector<StatEntry> statsDelta;
 };
 
-/** Whether tryCompileLoop/scheduleInto may consult the cache on this
- *  thread (enabled, no fault plan armed, no deadline/cancellation
- *  context armed, no bypass scope). */
+/** Whether scheduleInto may consult the memo on this thread (enabled,
+ *  no fault plan armed, no deadline/cancellation context armed, no
+ *  bypass scope). */
 bool compileCacheActive();
 
-/** Globally enable/disable the cache (--no-cache; default on). */
+/** Globally enable/disable the memo (--no-cache; default on). */
 void compileCacheSetEnabled(bool enabled);
 bool compileCacheEnabled();
 
-/** Drop every entry of both levels (tests: cold-cache runs). */
+/** Drop every memo entry (tests and benchmarks: cold runs). */
 void compileCacheClear();
 
-/** Suppress cache use on this thread for the scope's lifetime. */
+/** Suppress memo use on this thread for the scope's lifetime. */
 class CacheBypassScope
 {
   public:
@@ -200,42 +180,13 @@ class CacheBypassScope
     CacheBypassScope &operator=(const CacheBypassScope &) = delete;
 };
 
-/** Canonical key of a whole-compile request. */
-std::string compileCacheKey(const Loop &loop, const ArrayTable &arrays,
-                            const Machine &machine, Technique technique,
-                            const DriverOptions &options);
-
 /** Canonical key of one lower+schedule+validate request. */
 std::string scheduleCacheKey(const Loop &body, const ArrayTable &arrays,
                              const Machine &machine,
                              const ScheduleOptions &options);
 
-/** The process-wide cache levels. */
-StructuralCache<CompileCacheValue> &compileCache();
+/** The process-wide schedule memo. */
 StructuralCache<ScheduleCacheValue> &scheduleCache();
-
-/** Copy `registry`'s snapshot, dropping `cache.*` bookkeeping — the
- *  form stored as a value's statsDelta. */
-std::vector<StatEntry> captureStatsDelta(const StatsRegistry &registry);
-
-/**
- * Where this thread's most recent tryCompileLoop result came from:
- * the in-memory structural cache, the on-disk cache, or a fresh
- * compile. `None` until the thread completes a tryCompileLoop. The
- * serving layer reports this as each response's cache provenance;
- * requests that bypass the cache (armed deadline/fault plan,
- * --no-cache) always read `Compiled`.
- */
-enum class CompileSource : uint8_t { None, Memory, Disk, Compiled };
-
-/** Printable name ("none", "memory", "disk", "compiled"). */
-const char *compileSourceName(CompileSource source);
-
-/** This thread's most recent compile provenance. */
-CompileSource lastCompileSource();
-
-/** Record this thread's compile provenance (driver internal). */
-void noteCompileSource(CompileSource source);
 
 } // namespace selvec
 

@@ -3,9 +3,8 @@
 #include <optional>
 
 #include "analysis/depgraph.hh"
-#include "driver/compilecache.hh"
-#include "driver/diskcache.hh"
 #include "analysis/recmii.hh"
+#include "driver/compilecache.hh"
 #include "core/itersplit.hh"
 #include "core/transform.hh"
 #include "ir/verifier.hh"
@@ -117,10 +116,9 @@ scheduleIntoImpl(const Loop &body, const ArrayTable &arrays,
 }
 
 /**
- * scheduleIntoImpl behind the schedule-level structural cache. This
- * is where cross-technique sharing happens: ModuloOnly, Full and
+ * scheduleIntoImpl behind the schedule memo. ModuloOnly, Full and
  * Selective all schedule the identical source loop as their cleanup,
- * so the second and later techniques of a suite hit here.
+ * so the second and later techniques of a loop hit here.
  */
 Status
 scheduleInto(const Loop &body, const ArrayTable &arrays,
@@ -134,28 +132,23 @@ scheduleInto(const Loop &body, const ArrayTable &arrays,
                                 rec_mii);
     }
 
-    std::string key = scheduleCacheKey(body, arrays, machine, options);
     std::shared_ptr<const ScheduleCacheValue> v =
-        scheduleCache().lookupOrCompute(key, [&] {
-            // The disk layer sits under the in-memory level: only a
-            // process-wide miss consults it, and only a disk miss
-            // computes (and publishes the result for the next run).
-            if (std::optional<ScheduleCacheValue> stored =
-                    diskCacheLoadSchedule(key)) {
-                return std::move(*stored);
-            }
-            ScheduleCacheValue val;
-            StatsRegistry capture;
-            {
-                ScopedStatsSink sink(capture);
-                val.status = scheduleIntoImpl(
-                    body, arrays, machine, options, val.lowered,
-                    val.schedule, &val.resMii, &val.recMii);
-            }
-            val.statsDelta = captureStatsDelta(capture);
-            diskCacheStoreSchedule(key, val);
-            return val;
-        });
+        scheduleCache().lookupOrCompute(
+            scheduleCacheKey(body, arrays, machine, options), [&] {
+                ScheduleCacheValue val;
+                StatsRegistry capture;
+                {
+                    ScopedStatsSink sink(capture);
+                    val.status = scheduleIntoImpl(
+                        body, arrays, machine, options, val.lowered,
+                        val.schedule, &val.resMii, &val.recMii);
+                }
+                val.statsDelta = capture.snapshot();
+                return val;
+            });
+    // Replaying the stored delta makes a hit's stats footprint equal
+    // to the run it skipped, so merged registries do not depend on
+    // which request happened to execute.
     globalStats().applyEntries(v->statsDelta);
     if (!v->status.ok())
         return v->status;
@@ -337,9 +330,7 @@ tryCompileLoop(const Loop &loop, ArrayTable &arrays,
         stats.add("driver.failures");
         return loop_ok;
     }
-    // Knob validation happens before any cache key is formed: a
-    // nonsense option set must fail loudly, not misbehave (or get
-    // cached) quietly.
+    // A nonsense option set must fail loudly, not misbehave quietly.
     // Zero stays meaningful (empty budget/window, watchdog off);
     // only negative knobs are rejected.
     const ScheduleOptions &sched = options.scheduling;
@@ -376,62 +367,16 @@ tryCompileLoop(const Loop &loop, ArrayTable &arrays,
                        options.partition.exactMaxNodes)));
     }
 
-    if (!compileCacheActive()) {
-        // Compile against a scratch copy: a failed attempt must not
-        // leak scalar-expansion temporaries into the caller's table.
-        noteCompileSource(CompileSource::Compiled);
-        ArrayTable trial = arrays;
-        Expected<CompiledProgram> program = tryCompileLoopImpl(
-            loop, trial, machine, technique, options);
-        if (program.ok())
-            arrays = std::move(trial);
-        else
-            stats.add("driver.failures");
-        return program;
-    }
-
-    std::string key =
-        compileCacheKey(loop, arrays, machine, technique, options);
-    // Provenance defaults to the in-memory level; the compute callback
-    // overrides it on this thread when it actually runs (slot waiters
-    // never enter the callback, so they keep `Memory`).
-    noteCompileSource(CompileSource::Memory);
-    std::shared_ptr<const CompileCacheValue> v =
-        compileCache().lookupOrCompute(key, [&] {
-            if (std::optional<CompileCacheValue> stored =
-                    diskCacheLoadCompile(key)) {
-                noteCompileSource(CompileSource::Disk);
-                return std::move(*stored);
-            }
-            noteCompileSource(CompileSource::Compiled);
-            CompileCacheValue val;
-            StatsRegistry capture;
-            {
-                ScopedStatsSink sink(capture);
-                ArrayTable trial = arrays;
-                Expected<CompiledProgram> program = tryCompileLoopImpl(
-                    loop, trial, machine, technique, options);
-                val.ok = program.ok();
-                if (program.ok()) {
-                    val.program = program.takeValue();
-                    val.arrays = std::move(trial);
-                } else {
-                    val.status = program.status();
-                    globalStats().add("driver.failures");
-                }
-            }
-            val.statsDelta = captureStatsDelta(capture);
-            diskCacheStoreCompile(key, val);
-            return val;
-        });
-    // Replaying the stored delta makes a hit's stats footprint equal
-    // to the compile it skipped, so merged registries do not depend
-    // on which request happened to execute.
-    globalStats().applyEntries(v->statsDelta);
-    if (!v->ok)
-        return v->status;
-    arrays = v->arrays;
-    return v->program;
+    // Compile against a scratch copy: a failed attempt must not leak
+    // scalar-expansion temporaries into the caller's table.
+    ArrayTable trial = arrays;
+    Expected<CompiledProgram> program =
+        tryCompileLoopImpl(loop, trial, machine, technique, options);
+    if (program.ok())
+        arrays = std::move(trial);
+    else
+        stats.add("driver.failures");
+    return program;
 }
 
 CompiledProgram

@@ -223,7 +223,7 @@ struct ResilientCompile
  * replays the serial walk over the results, so the report (attempt
  * order, fallback reasons, chosen tier, stats of adopted attempts)
  * is identical to a serial run; tiers past the first success are
- * discarded unobserved. Speculative tiers bypass the compile cache —
+ * discarded unobserved. Speculative tiers bypass the schedule memo —
  * discarded work must not perturb its contents or hit/miss counts —
  * and a run with an armed fault plan always degrades to serial so
  * hit windows stay ordered. Default 1: exactly today's serial chain.

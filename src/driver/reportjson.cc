@@ -225,13 +225,11 @@ attachObservability(JsonValue &doc)
     // documented byte-identity of --jobs 1 vs --jobs N documents;
     // they are zeroed (sample counts stay) unless explicitly asked
     // for. The trace tree is emitted in sorted sibling order for the
-    // same reason. cache.* keys depend on cache state — cold runs
-    // miss where warm runs hit, and a compile-level disk hit skips
-    // the nested schedule-level lookups entirely — so the whole
-    // namespace stays out of the document: byte-identity across
-    // cache states is part of the persistence contract (DESIGN.md
-    // §11). The counters remain in processStats(), and the bench
-    // front-ends print the disk counters on stderr instead. The
+    // same reason. cache.* keys depend on the schedule memo's state
+    // — cold runs miss where warm runs hit, and --no-cache records
+    // none — so the whole namespace stays out of the document:
+    // cold, warm and memo-off runs emit the same bytes (DESIGN.md
+    // §8). The counters remain in processStats(). The
     // streaming executor's sim.plan.* (builds/reuses) and
     // sim.stream.* (instances/window) counters, by contrast, derive
     // only from the compiled schedules and trip counts — identical

@@ -711,7 +711,7 @@ class DenseEngine : public EngineBase
 };
 
 /**
- * The streaming pipelined engine (DESIGN.md §13).
+ * The streaming pipelined engine (DESIGN.md §12).
  *
  * Replays the plan's per-II-slot issue template over a rotating
  * window of `plan.windowFrames` dense register frames: II block q

@@ -153,7 +153,7 @@ DeadlineContext currentDeadlineContext();
 
 /** Whether this thread has any deadline or cancel token installed —
  *  one thread-local load, the hot-loop guard before checkDeadline().
- *  The driver also bypasses the compile cache while this is true: a
+ *  The driver also bypasses the schedule memo while this is true: a
  *  status that depends on wall-clock time must never be replayed as
  *  authoritative (DESIGN.md §10). */
 bool deadlineArmed();

@@ -84,14 +84,13 @@ class StatsRegistry
      * counters and timers add, max gauges take the max, and plain
      * gauges overwrite (so merging task deltas in task order yields
      * the same final value as serial execution). `filterPrefix`, when
-     * non-empty, skips keys starting with it (the compile cache uses
-     * this to strip its own bookkeeping from replayed deltas).
+     * non-empty, skips keys starting with it.
      */
     void mergeFrom(const StatsRegistry &other,
                    const std::string &filterPrefix = "");
 
-    /** mergeFrom for an already-captured snapshot — how the compile
-     *  cache replays a stored delta on a hit. */
+    /** mergeFrom for an already-captured snapshot — how the schedule
+     *  memo replays a stored delta on a hit. */
     void applyEntries(const std::vector<StatEntry> &entries,
                       const std::string &filterPrefix = "");
 
@@ -103,8 +102,8 @@ class StatsRegistry
      * so the document is byte-stable across runs — the report surface
      * uses this unless SELVEC_TIMINGS opts into wall-clock values.
      * Keys starting with `excludePrefix` (when non-empty) are left out
-     * entirely — the report surface drops `cache.disk.*` so a warm
-     * disk cache emits the same document bytes as a cold one.
+     * entirely — the report surface drops `cache.*` so a warm schedule
+     * memo emits the same document bytes as a cold one.
      */
     JsonValue toJson(bool includeTimerNs = true,
                      const std::string &excludePrefix = "") const;

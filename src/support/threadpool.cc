@@ -1,5 +1,10 @@
 #include "support/threadpool.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+
+#include "support/deadline.hh"
 #include "support/stats.hh"
 
 namespace selvec
@@ -8,8 +13,8 @@ namespace selvec
 namespace
 {
 
-// Set while a worker runs batch tasks, so a nested parallelFor from
-// inside a task runs inline instead of deadlocking on its own pool.
+// Set while a thread runs batch tasks, so a nested parallelFor from
+// inside a task runs inline instead of oversubscribing.
 thread_local bool tls_in_pool_task = false;
 
 } // anonymous namespace
@@ -30,22 +35,6 @@ resolveJobs(int requested)
 ThreadPool::ThreadPool(int jobs)
     : jobCount(jobs < 1 ? 1 : jobs)
 {
-    if (jobCount <= 1)
-        return;
-    workers.reserve(static_cast<size_t>(jobCount));
-    for (int i = 0; i < jobCount; ++i)
-        workers.emplace_back([this] { workerMain(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        shutdown = true;
-    }
-    workCv.notify_all();
-    for (std::thread &w : workers)
-        w.join();
 }
 
 std::vector<std::exception_ptr>
@@ -57,37 +46,54 @@ ThreadPool::parallelForAll(size_t n,
     globalStats().add("pool.batches");
     globalStats().add("pool.tasks", static_cast<int64_t>(n));
     std::vector<std::exception_ptr> errors(n);
-    if (n == 0)
-        return errors;
-    if (workers.empty() || n <= 1 || tls_in_pool_task) {
-        for (size_t i = 0; i < n; ++i) {
-            try {
-                fn(i);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
+    auto run = [&](size_t i) {
+        try {
+            fn(i);
+        } catch (...) {
+            // Each index is claimed exactly once, so its error slot
+            // is written without a lock.
+            errors[i] = std::current_exception();
         }
+    };
+    if (jobCount <= 1 || n <= 1 || tls_in_pool_task) {
+        for (size_t i = 0; i < n; ++i)
+            run(i);
         return errors;
     }
 
-    std::unique_lock<std::mutex> lock(mutex);
-    batchFn = &fn;
-    batchTotal = n;
-    batchErrors = errors.data();
-    batchContext = currentDeadlineContext();
-    nextIndex.store(0, std::memory_order_relaxed);
-    doneCount = 0;
-    ++batchId;
-    lock.unlock();
-    workCv.notify_all();
-
-    lock.lock();
-    doneCv.wait(lock, [&] { return doneCount == batchTotal; });
-    batchFn = nullptr;
-    batchTotal = 0;
-    batchErrors = nullptr;
-    batchContext = DeadlineContext();
-    lock.unlock();
+    // The claim counter, the error slots and the threads all belong
+    // to this call and are gone when it returns: a batch can never
+    // see another batch's indices.
+    std::atomic<size_t> next{0};
+    DeadlineContext context = currentDeadlineContext();
+    auto drain = [&] {
+        bool was_in_task = tls_in_pool_task;
+        tls_in_pool_task = true;
+        {
+            // Mirror the caller's deadline/cancellation context
+            // exactly, so a pool thread is bounded the same way the
+            // caller would be running the task inline.
+            ScopedDeadline adopt(ScopedDeadline::AdoptTag{}, context);
+            for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+                 i < n; i = next.fetch_add(1, std::memory_order_relaxed))
+                run(i);
+        }
+        tls_in_pool_task = was_in_task;
+    };
+    std::vector<std::thread> threads;
+    size_t want = std::min(static_cast<size_t>(jobCount), n);
+    threads.reserve(want);
+    try {
+        while (threads.size() < want)
+            threads.emplace_back(drain);
+    } catch (...) {
+        // A thread failed to start: the ones already running drain
+        // the batch (and must be joined below before `threads` dies).
+    }
+    if (threads.empty())
+        drain();
+    for (std::thread &t : threads)
+        t.join();
     return errors;
 }
 
@@ -98,54 +104,6 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
     for (const std::exception_ptr &err : errors) {
         if (err)
             std::rethrow_exception(err);
-    }
-}
-
-void
-ThreadPool::workerMain()
-{
-    uint64_t seenBatch = 0;
-    std::unique_lock<std::mutex> lock(mutex);
-    while (true) {
-        workCv.wait(lock,
-                    [&] { return shutdown || batchId != seenBatch; });
-        if (shutdown)
-            return;
-        seenBatch = batchId;
-        const std::function<void(size_t)> *fn = batchFn;
-        size_t total = batchTotal;
-        std::exception_ptr *errors = batchErrors;
-        DeadlineContext context = batchContext;
-        lock.unlock();
-
-        size_t completed = 0;
-        tls_in_pool_task = true;
-        {
-            // Mirror the batch caller's deadline/cancellation context
-            // exactly, so a worker thread is bounded the same way the
-            // caller would be running the task inline.
-            ScopedDeadline adopt(ScopedDeadline::AdoptTag{}, context);
-            while (true) {
-                size_t i =
-                    nextIndex.fetch_add(1, std::memory_order_relaxed);
-                if (i >= total)
-                    break;
-                try {
-                    (*fn)(i);
-                } catch (...) {
-                    // Each index is claimed by exactly one worker, so
-                    // its error slot is written without a lock.
-                    errors[i] = std::current_exception();
-                }
-                ++completed;
-            }
-        }
-        tls_in_pool_task = false;
-
-        lock.lock();
-        doneCount += completed;
-        if (doneCount == total)
-            doneCv.notify_all();
     }
 }
 

@@ -1,27 +1,28 @@
 /**
  * @file
- * A fixed-size thread pool for batch-parallel loops, deliberately
- * without work stealing: parallelFor(n, fn) publishes one batch of n
- * index-addressed tasks, workers claim indices from a shared atomic
- * counter until the batch drains, and the caller blocks until every
- * task has finished. Tasks are claimed in index order, so a batch is
- * a deterministic partition of [0, n) no matter how many workers run
- * it — the property the driver's byte-identical-output contract
- * leans on (see DESIGN.md §8).
+ * Batch-parallel loops over an index range, deliberately without work
+ * stealing: parallelFor(n, fn) starts min(jobs, n) threads, which
+ * claim indices from a counter local to the call until the batch
+ * drains, and joins every one of them before it returns. Tasks are
+ * claimed in index order, so a batch is a deterministic partition of
+ * [0, n) no matter how many threads run it — the property the
+ * driver's byte-identical-output contract leans on (see DESIGN.md §8).
+ * Nothing of a batch outlives its call, so back-to-back batches on
+ * one pool never share a thread, a counter or an error slot.
  *
- * With one worker (or none), parallelFor degrades to a plain inline
- * loop on the calling thread: `--jobs 1` is bit-for-bit todays's
- * serial behavior, not a one-thread simulation of parallelism. When
- * workers do run tasks, the caller never executes tasks itself; a
- * task that needs the caller's context (trace spans, stats sinks)
- * must capture it explicitly (TraceContextScope, ScopedStatsSink).
- * The caller's deadline/cancellation context, by contrast, is
- * republished automatically: every task of a batch runs under the
- * DeadlineContext the caller had when it published the batch, so
- * `--deadline-ms` bounds worker threads too (DESIGN.md §10).
+ * With one job, parallelFor degrades to a plain inline loop on the
+ * calling thread: `--jobs 1` is bit-for-bit today's serial behavior,
+ * not a one-thread simulation of parallelism. When threads do run
+ * tasks, the caller never executes tasks itself; a task that needs
+ * the caller's context (trace spans, stats sinks) must capture it
+ * explicitly (TraceContextScope, ScopedStatsSink). The caller's
+ * deadline/cancellation context, by contrast, is republished
+ * automatically: every task of a batch runs under the DeadlineContext
+ * the caller had when it started the batch, so `--deadline-ms` bounds
+ * pool threads too (DESIGN.md §10).
  *
  * Re-entrancy: parallelFor called from inside a pool task runs the
- * nested batch inline on that worker — nesting never deadlocks and
+ * nested batch inline on that thread — nesting never deadlocks and
  * never oversubscribes.
  *
  * Failure semantics: parallelForAll drains the whole batch and
@@ -38,15 +39,10 @@
 #ifndef SELVEC_SUPPORT_THREADPOOL_HH
 #define SELVEC_SUPPORT_THREADPOOL_HH
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
+#include <cstddef>
+#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
-
-#include "support/deadline.hh"
 
 namespace selvec
 {
@@ -63,12 +59,9 @@ int resolveJobs(int requested);
 class ThreadPool
 {
   public:
-    /**
-     * Spawn `jobs` workers (clamped to >= 1). A 1-job pool spawns no
-     * threads at all; parallelFor then runs inline.
-     */
+    /** A pool of `jobs` threads per batch (clamped to >= 1). A 1-job
+     *  pool never starts a thread; parallelFor then runs inline. */
     explicit ThreadPool(int jobs);
-    ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
@@ -80,7 +73,7 @@ class ThreadPool
      * Run fn(0) .. fn(n-1), returning once all have finished. Inline
      * on the calling thread when the pool has one job, n <= 1, or the
      * call is re-entrant from a pool task; otherwise tasks run only
-     * on worker threads and the caller waits. If any tasks threw, the
+     * on pool threads and the caller waits. If any tasks threw, the
      * lowest-index exception is rethrown after the batch drains.
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
@@ -96,22 +89,7 @@ class ThreadPool
     parallelForAll(size_t n, const std::function<void(size_t)> &fn);
 
   private:
-    void workerMain();
-
     const int jobCount;
-    std::vector<std::thread> workers;
-
-    std::mutex mutex;
-    std::condition_variable workCv;  ///< workers: a new batch arrived
-    std::condition_variable doneCv;  ///< caller: the batch drained
-    const std::function<void(size_t)> *batchFn = nullptr;
-    size_t batchTotal = 0;
-    std::exception_ptr *batchErrors = nullptr;  ///< one slot per index
-    DeadlineContext batchContext;    ///< caller's, adopted by workers
-    std::atomic<size_t> nextIndex{0};
-    size_t doneCount = 0;            ///< guarded by mutex
-    uint64_t batchId = 0;            ///< guarded by mutex
-    bool shutdown = false;           ///< guarded by mutex
 };
 
 } // namespace selvec

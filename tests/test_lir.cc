@@ -170,6 +170,15 @@ struct BadCase
     const char *text;
 };
 
+// Without a printer gtest shows a parameter as its raw bytes — here two
+// string addresses that ASLR moves on every run — and the test IDs
+// ctest discovers embed that print-out. Print the case name instead so
+// the IDs are the same from build to build.
+void PrintTo(const BadCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class LirErrors : public ::testing::TestWithParam<BadCase>
 {
 };

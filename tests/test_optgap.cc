@@ -1,11 +1,11 @@
 /**
  * @file
- * The exact-partition oracle contract (DESIGN.md §12): the
+ * The exact-partition oracle contract (DESIGN.md §11): the
  * branch-and-bound search never costs more than the KL incumbent,
  * proves optimality on the shipped kernels, degrades to Unproven
  * (keeping the incumbent) under a node budget, keeps documents
- * byte-identical across jobs and cache states, validates its knobs,
- * and fragments the compile-cache key only when it can matter.
+ * byte-identical across jobs and cache states, and validates its
+ * knobs.
  */
 
 #include <gtest/gtest.h>
@@ -249,41 +249,6 @@ TEST(ExactPartition, NegativeKnobsAreInvalidInput)
         a.loop(), arrays, a.machine, Technique::Selective, driver);
     ASSERT_FALSE(c.ok());
     EXPECT_EQ(c.status().code(), ErrorCode::InvalidInput);
-}
-
-// ------------------------------------------------------------ cache key
-
-TEST(ExactPartition, CacheKeyFragmentsOnlyWhenItCanMatter)
-{
-    Analyzed a(kMixed, paperMachine());
-    DriverOptions kl_opts;
-
-    DriverOptions exact_opts = kl_opts;
-    exact_opts.partition.strategy = PartitionStrategy::Exact;
-
-    std::string kl_key =
-        compileCacheKey(a.loop(), a.module.arrays, a.machine,
-                        Technique::Selective, kl_opts);
-    std::string exact_key =
-        compileCacheKey(a.loop(), a.module.arrays, a.machine,
-                        Technique::Selective, exact_opts);
-    EXPECT_NE(kl_key, exact_key);
-
-    // Under KL the exact knobs cannot change the program: one cache
-    // entry must serve every threshold/budget value.
-    DriverOptions kl_tweaked = kl_opts;
-    kl_tweaked.partition.exactThreshold = 7;
-    kl_tweaked.partition.exactMaxNodes = 123;
-    EXPECT_EQ(kl_key,
-              compileCacheKey(a.loop(), a.module.arrays, a.machine,
-                              Technique::Selective, kl_tweaked));
-
-    // Under Exact they can: the key must fragment.
-    DriverOptions exact_tweaked = exact_opts;
-    exact_tweaked.partition.exactMaxNodes = 1;
-    EXPECT_NE(exact_key,
-              compileCacheKey(a.loop(), a.module.arrays, a.machine,
-                              Technique::Selective, exact_tweaked));
 }
 
 // ------------------------------------------------------------ documents

@@ -1,16 +1,19 @@
 /**
  * @file
- * Tests for the parallel-compilation layer: the fixed thread pool,
- * thread-local stat sinks, the structural compile cache, and the
- * headline determinism contract — evaluateSuite and the bench
- * documents built from it are byte-identical for every --jobs value
- * and for cold vs warm caches (stats.cache aside, which records the
- * cache's own traffic).
+ * Tests for the parallel-compilation layer: the thread pool,
+ * thread-local stat sinks, the schedule memo, and the headline
+ * determinism contract — evaluateSuite and the bench documents built
+ * from it are byte-identical for every --jobs value and for a cold,
+ * warm or disabled memo (stats.cache aside, which records the memo's
+ * own traffic).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -135,6 +138,46 @@ TEST(ThreadPool, ParallelForRethrowsLowestFailedIndex)
     }
 }
 
+TEST(ThreadPool, BackToBackBatchesNeverHang)
+{
+    // Thousands of batches on one pool object, each with failing
+    // indices. A pool that hands batches to long-lived workers can let
+    // a late worker claim an index of the next batch against the
+    // previous batch's total, and the caller then waits forever (ctest
+    // gives this test a short TIMEOUT). Every batch must run each of
+    // its own indices once and report exactly its own failures.
+    ThreadPool pool(8);
+    for (size_t batch = 0; batch < 2000; ++batch) {
+        const size_t n = 1 + batch % 17;
+        const size_t bad = batch % n;
+        std::vector<std::atomic<int>> visits(n);
+        auto task = [&](size_t i) {
+            visits[i].fetch_add(1);
+            if (i == bad || i + 1 == n)
+                throw std::runtime_error(std::to_string(i));
+        };
+        if (batch % 2 == 0) {
+            std::vector<std::exception_ptr> errors =
+                pool.parallelForAll(n, task);
+            ASSERT_EQ(errors.size(), n);
+            for (size_t i = 0; i < n; ++i)
+                ASSERT_EQ(errors[i] != nullptr, i == bad || i + 1 == n)
+                    << "batch " << batch << " index " << i;
+        } else {
+            try {
+                pool.parallelFor(n, task);
+                FAIL() << "batch " << batch << " should have thrown";
+            } catch (const std::runtime_error &e) {
+                ASSERT_EQ(std::string(e.what()), std::to_string(bad))
+                    << "batch " << batch;
+            }
+        }
+        for (size_t i = 0; i < n; ++i)
+            ASSERT_EQ(visits[i].load(), 1)
+                << "batch " << batch << " index " << i;
+    }
+}
+
 TEST(ThreadPool, NestedParallelForRunsInline)
 {
     ThreadPool outer(4);
@@ -216,7 +259,7 @@ TEST(StatsSink, ToJsonCanZeroTimerNs)
 }
 
 // ---------------------------------------------------------------------
-// Structural compile cache.
+// Schedule memo.
 
 const char *kCacheSaxpy = R"(
 array X f64 4096
@@ -283,35 +326,27 @@ TEST_F(CompileCacheTest, KeySeparatesStructureNotNames)
     Machine a = paperMachine();
     Machine b = paperMachine();
     b.name = "renamed-but-identical";
-    DriverOptions options;
+    ScheduleOptions options;
     const Loop &loop = m.loops[0];
     // The machine name is presentation, not structure.
-    EXPECT_EQ(compileCacheKey(loop, m.arrays, a, Technique::Selective,
-                              options),
-              compileCacheKey(loop, m.arrays, b, Technique::Selective,
-                              options));
+    EXPECT_EQ(scheduleCacheKey(loop, m.arrays, a, options),
+              scheduleCacheKey(loop, m.arrays, b, options));
 
     Machine c = paperMachine();
     c.vectorLength *= 2;
-    EXPECT_NE(compileCacheKey(loop, m.arrays, a, Technique::Selective,
-                              options),
-              compileCacheKey(loop, m.arrays, c, Technique::Selective,
-                              options));
+    EXPECT_NE(scheduleCacheKey(loop, m.arrays, a, options),
+              scheduleCacheKey(loop, m.arrays, c, options));
 
-    // A knob that cannot reach the ModuloOnly codepath does not
-    // fragment its key...
-    DriverOptions comm_off;
-    comm_off.partition.cost.considerCommunication = false;
-    EXPECT_EQ(compileCacheKey(loop, m.arrays, a, Technique::ModuloOnly,
-                              options),
-              compileCacheKey(loop, m.arrays, a, Technique::ModuloOnly,
-                              comm_off));
-    // ...but does separate Selective compiles, where it changes the
-    // partition.
-    EXPECT_NE(compileCacheKey(loop, m.arrays, a, Technique::Selective,
-                              options),
-              compileCacheKey(loop, m.arrays, a, Technique::Selective,
-                              comm_off));
+    // Array geometry and scheduler knobs reach the schedule, so they
+    // separate keys.
+    ArrayTable bigger = m.arrays;
+    bigger[0].size *= 2;
+    EXPECT_NE(scheduleCacheKey(loop, m.arrays, a, options),
+              scheduleCacheKey(loop, bigger, a, options));
+    ScheduleOptions wider = options;
+    wider.budgetFactor += 1;
+    EXPECT_NE(scheduleCacheKey(loop, m.arrays, a, options),
+              scheduleCacheKey(loop, m.arrays, a, wider));
 }
 
 TEST_F(CompileCacheTest, HitReturnsBitIdenticalProgram)
@@ -376,6 +411,96 @@ TEST_F(CompileCacheTest, HitReplaysStatsDelta)
     // requests hit. (cache.* itself goes to the process registry.)
     EXPECT_EQ(cold_stats.toJson(false).dump(),
               warm_stats.toJson(false).dump());
+}
+
+/** `tryCompileLoop` of `m`'s loop with the memo on or off, rendered
+ *  as the program's JSON (the bit-identity witness). */
+std::string
+compiledJson(const Module &m, const Machine &machine, Technique t,
+             bool memo)
+{
+    bool was = compileCacheEnabled();
+    compileCacheSetEnabled(memo);
+    ArrayTable arrays = m.arrays;
+    Expected<CompiledProgram> program =
+        tryCompileLoop(m.loops[0], arrays, machine, t);
+    compileCacheSetEnabled(was);
+    EXPECT_TRUE(program.ok()) << program.status().str();
+    return program.ok() ? jsonOfCompiledProgram(program.value()).dump()
+                        : std::string();
+}
+
+TEST_F(CompileCacheTest, TechniquesShareTheCleanupSchedule)
+{
+    // ModuloOnly and Selective both schedule the untouched source loop
+    // as their cleanup: the second compile must hit the memo for it.
+    Module m = parseLirOrDie(kCacheSaxpy);
+    Machine machine = paperMachine();
+    std::string modulo =
+        compiledJson(m, machine, Technique::ModuloOnly, true);
+    int64_t hits0 = processStats().value("cache.hit");
+    std::string selective =
+        compiledJson(m, machine, Technique::Selective, true);
+    EXPECT_GE(processStats().value("cache.hit"), hits0 + 1);
+
+    EXPECT_EQ(modulo,
+              compiledJson(m, machine, Technique::ModuloOnly, false));
+    EXPECT_EQ(selective,
+              compiledJson(m, machine, Technique::Selective, false));
+}
+
+TEST_F(CompileCacheTest, ScheduleMemoStaysBoundedAndExact)
+{
+    // Distinct array sizes give distinct schedule keys: enough
+    // ModuloOnly compiles (main + cleanup each) to overflow the memo.
+    auto saxpyOfSize = [](int size) {
+        char text[512];
+        std::snprintf(text, sizeof(text),
+                      "array X f64 %d\narray Y f64 %d\n%s", size,
+                      size, std::strstr(kCacheSaxpy, "loop saxpy"));
+        return parseLirOrDie(text);
+    };
+    Machine machine = paperMachine();
+    const int loops = static_cast<int>(kCompileCacheCapacity) / 2 + 20;
+    size_t largest = 0;
+    int clears = 0;
+    std::vector<std::string> first;
+    for (int k = 0; k < loops; ++k) {
+        size_t before = scheduleCache().size();
+        std::string json = compiledJson(
+            saxpyOfSize(1024 + k), machine, Technique::ModuloOnly, true);
+        if (k < 2)
+            first.push_back(json);
+        size_t after = scheduleCache().size();
+        largest = std::max(largest, after);
+        if (after < before) {
+            // A full memo is cleared, then keeps only this compile's
+            // two schedules.
+            ++clears;
+            EXPECT_LE(after, 2u) << k;
+        }
+    }
+    EXPECT_EQ(clears, 1);
+    EXPECT_LE(largest, kCompileCacheCapacity);
+
+    // An entry dropped by the clear is recomputed and one still held
+    // is a hit; both are bit-identical to a memo-off compile.
+    for (int k : {0, 1, loops - 1}) {
+        Module m = saxpyOfSize(1024 + k);
+        std::string uncached =
+            compiledJson(m, machine, Technique::ModuloOnly, false);
+        int64_t misses0 = processStats().value("cache.miss");
+        EXPECT_EQ(compiledJson(m, machine, Technique::ModuloOnly, true),
+                  uncached)
+            << k;
+        EXPECT_EQ(processStats().value("cache.miss") > misses0,
+                  k < 2)
+            << k;
+        if (k < 2) {
+            EXPECT_EQ(first[k], uncached) << k;
+        }
+    }
+    EXPECT_LE(scheduleCache().size(), kCompileCacheCapacity);
 }
 
 TEST_F(CompileCacheTest, BypassScopeDisablesCaching)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Streaming-executor contract tests (ctest label `simspeed`,
- * DESIGN.md §13):
+ * DESIGN.md §12):
  *
  *  - randomized property: generated loops run pipelined on the
  *    streaming engine and the dense event-list reference produce
