@@ -1,18 +1,18 @@
 /**
  * @file
- * The simulator throughput benchmark: streaming pipelined executor
- * versus the dense event-list reference, tracked as a perf trajectory
- * across PRs.
+ * The simulator throughput benchmark: the streaming pipelined
+ * executor on generator-scaled loop classes, tracked as a perf
+ * trajectory across PRs.
  *
  * Generator-scaled loop classes are compiled once (ModuloOnly — the
  * technique whose main loop every other technique's loops resemble at
  * the executor's level), then each compiled main loop runs pipelined
- * under both engines on identical fresh memory images. Every run is
- * differential: observable outputs (cycles, liveOuts, carriedFinal,
- * dynOps, exit state) and the full memory image must match
- * bit-for-bit, or the bench dies — it doubles as a cross-engine
- * parity harness on top of the `simspeed` ctest label and the fuzz
- * --simdiff mode.
+ * on a fresh memory image. The counter pass runs under the
+ * SELVEC_CHECK_SIM reference check: every run is re-run on the
+ * sequential reference engine, and any divergence in outputs or
+ * memory, or an exit-free run off the closed-form cycle count, kills
+ * the bench — it doubles as a parity harness on top of the
+ * `simspeed` ctest label.
  *
  * The emitted selvec-bench-v1 document separates two kinds of metric:
  *
@@ -25,11 +25,11 @@
  *    loops); each loop also runs at 2 x trip under the same plan —
  *    the footprint is a plan property, built without a trip count —
  *    which is the O(II x ops) memory claim in executable form (the
- *    dense engine's event list doubles instead; the `simspeed` test
- *    lane's allocation-counting test pins the claim exactly);
- *  - timings (iterations/s per engine, speedup) are wall-clock and
- *    emitted as 0 unless SELVEC_TIMINGS is set, the same opt-in the
- *    stats registry uses, so documents stay byte-stable.
+ *    `simspeed` test lane's allocation-counting test pins the claim
+ *    exactly);
+ *  - timings (iterations/s) are wall-clock and emitted as 0 unless
+ *    SELVEC_TIMINGS is set, the same opt-in the stats registry uses,
+ *    so documents stay byte-stable.
  */
 
 #include <chrono>
@@ -42,6 +42,7 @@
 #include "driver/driver.hh"
 #include "machine/machine.hh"
 #include "sim/execplan.hh"
+#include "support/checkmode.hh"
 #include "workloads/generator.hh"
 
 namespace
@@ -59,9 +60,8 @@ struct ClassSpec
 
 /**
  * The trip ladder. "large" is the class the acceptance bar tracks:
- * long enough that the dense engine's O(trip x ops) event list and
- * sort dominate, so the streaming engine's advantage is the
- * steady-state per-instance cost, not setup noise.
+ * long enough that the steady-state per-instance cost, not setup
+ * noise, dominates.
  */
 constexpr ClassSpec kClasses[] = {
     {"small", 256, 4},
@@ -101,7 +101,7 @@ struct ClassResult
     int64_t compiled = 0;
     int64_t skipped = 0;
 
-    // Deterministic counters (one streaming+dense pair per subject).
+    // Deterministic counters (the counter pass's trip-`trip` runs).
     int64_t iterations = 0;     ///< main-loop body iterations run
     int64_t cycles = 0;
     int64_t dynOps = 0;
@@ -109,33 +109,19 @@ struct ClassResult
 
     // Wall clock over the timing reps.
     int64_t streamNs = 0;
-    int64_t denseNs = 0;
     int64_t timedIterations = 0;
 };
 
-void
-dieOnMismatch(const char *what, const Subject &s)
-{
-    std::fprintf(stderr,
-                 "bench_simspeed: %s diverges between streaming and "
-                 "dense engines for loop '%s'\n",
-                 what, s.gen.loop().name.c_str());
-    std::exit(1);
-}
-
-/** Run the subject's main loop under one engine. */
+/** Run the subject's main loop pipelined on a fresh memory image. */
 RunOutput
-runEngine(const Subject &s, const Machine &machine, MemoryImage &mem,
-          bool dense, int64_t n_body, const ExecPlan *plan)
+runSubject(const Subject &s, const Machine &machine, int64_t n_body)
 {
     const CompiledLoop &cl = s.program.loops.front();
+    MemoryImage mem(s.arrays);
+    mem.fillPattern(0x51D5'BEEF);
     Expected<RunOutput> out =
-        dense ? tryExecuteLoopDense(s.arrays, cl.main, machine, mem,
-                                    s.gen.liveIns, n_body, 0,
-                                    &cl.mainSchedule)
-              : tryExecuteLoop(s.arrays, cl.main, machine, mem,
-                               s.gen.liveIns, n_body, 0,
-                               &cl.mainSchedule, {}, plan);
+        tryExecuteLoop(s.arrays, cl.main, machine, mem, s.gen.liveIns,
+                       n_body, 0, &cl.mainSchedule, {}, &s.plan);
     if (!out.ok()) {
         std::fprintf(stderr,
                      "bench_simspeed: loop '%s' failed to run: %s\n",
@@ -178,79 +164,33 @@ runClass(const ClassSpec &spec, const Machine &machine, int64_t trip,
         subjects.push_back(std::move(s));
     }
 
-    // Counter pass: one differential streaming-vs-dense pair per
-    // subject, exact and deterministic.
+    // Counter pass, exact and deterministic, every run checked
+    // against the reference engine.
+    bool prior = checkSimEnabled();
+    setCheckSim(true);
     for (const Subject &s : subjects) {
-        MemoryImage stream_mem(s.arrays);
-        stream_mem.fillPattern(0x51D5'BEEF);
-        MemoryImage dense_mem(s.arrays);
-        dense_mem.fillPattern(0x51D5'BEEF);
-
-        RunOutput sout = runEngine(s, machine, stream_mem, false,
-                                   s.nBody, &s.plan);
-        RunOutput dout = runEngine(s, machine, dense_mem, true,
-                                   s.nBody, nullptr);
-
-        if (sout.cycles != dout.cycles ||
-            sout.bodyIterations != dout.bodyIterations ||
-            sout.exited != dout.exited ||
-            sout.exitOrig != dout.exitOrig ||
-            sout.dynOps != dout.dynOps)
-            dieOnMismatch("run outputs", s);
-        if (!(sout.liveOuts == dout.liveOuts) ||
-            !(sout.carriedFinal == dout.carriedFinal))
-            dieOnMismatch("live values", s);
-        if (!stream_mem.diff(dense_mem).empty())
-            dieOnMismatch("memory", s);
-
-        r.iterations += sout.bodyIterations;
-        r.cycles += sout.cycles;
-        r.dynOps += sout.totalDynOps();
+        RunOutput out = runSubject(s, machine, s.nBody);
+        r.iterations += out.bodyIterations;
+        r.cycles += out.cycles;
+        r.dynOps += out.totalDynOps();
 
         // The memory claim, executable: the same plan (hence the same
-        // window footprint) drives a doubled-trip run, fully
-        // differential again, while the dense engine's event list
-        // doubles underneath it.
-        MemoryImage stream_mem2(s.arrays);
-        stream_mem2.fillPattern(0x51D5'BEEF);
-        MemoryImage dense_mem2(s.arrays);
-        dense_mem2.fillPattern(0x51D5'BEEF);
-        RunOutput sout2 = runEngine(s, machine, stream_mem2, false,
-                                    s.nBody * 2, &s.plan);
-        RunOutput dout2 = runEngine(s, machine, dense_mem2, true,
-                                    s.nBody * 2, nullptr);
-        if (sout2.cycles != dout2.cycles ||
-            sout2.bodyIterations != dout2.bodyIterations ||
-            sout2.exited != dout2.exited ||
-            !(sout2.liveOuts == dout2.liveOuts) ||
-            !stream_mem2.diff(dense_mem2).empty())
-            dieOnMismatch("doubled-trip run", s);
+        // window footprint) drives a doubled-trip run.
+        runSubject(s, machine, s.nBody * 2);
 
         r.windowValues += s.plan.windowFrames * s.plan.numValues;
     }
+    setCheckSim(prior);
 
-    // Timing pass: alternating whole-engine reps on scratch memory.
+    // Timing pass: whole-run reps on scratch memory.
     int64_t t0 = nowNs();
     for (int rep = 0; rep < reps; ++rep) {
         for (const Subject &s : subjects) {
-            MemoryImage mem(s.arrays);
-            mem.fillPattern(0x51D5'BEEF);
-            RunOutput out = runEngine(s, machine, mem, false, s.nBody,
-                                      &s.plan);
+            RunOutput out = runSubject(s, machine, s.nBody);
             r.timedIterations += out.bodyIterations;
         }
     }
     r.streamNs = nowNs() - t0;
-
-    t0 = nowNs();
-    for (int rep = 0; rep < reps; ++rep) {
-        for (const Subject &s : subjects) {
-            MemoryImage mem(s.arrays);
-            mem.fillPattern(0x51D5'BEEF);
-            runEngine(s, machine, mem, true, s.nBody, nullptr);
-        }
-    }
-    r.denseNs = nowNs() - t0;
     return r;
 }
 
@@ -279,8 +219,8 @@ main(int argc, char **argv)
     std::printf("Simulator throughput (%s mode, %d timing reps%s)\n",
                 cli.mode(), reps,
                 timed ? "" : "; set SELVEC_TIMINGS=1 for rates");
-    std::printf("%-8s %9s %12s %12s %12s %8s\n", "class", "trip",
-                "iterations", "stream it/s", "dense it/s", "speedup");
+    std::printf("%-8s %9s %12s %12s\n", "class", "trip",
+                "iterations", "stream it/s");
 
     for (const ClassSpec &spec : kClasses) {
         // Quick mode shortens trips (not loop counts): documents stay
@@ -289,14 +229,11 @@ main(int argc, char **argv)
         ClassResult r = runClass(spec, machine, trip, reps);
 
         double stream_s = perSecond(r.timedIterations, r.streamNs);
-        double dense_s = perSecond(r.timedIterations, r.denseNs);
-        double speedup = dense_s > 0.0 ? stream_s / dense_s : 0.0;
 
-        std::printf("%-8s %9lld %12lld %12.0f %12.0f %8.2f\n",
-                    spec.name, static_cast<long long>(trip),
+        std::printf("%-8s %9lld %12lld %12.0f\n", spec.name,
+                    static_cast<long long>(trip),
                     static_cast<long long>(r.iterations),
-                    timed ? stream_s : 0.0, timed ? dense_s : 0.0,
-                    timed ? speedup : 0.0);
+                    timed ? stream_s : 0.0);
 
         JsonValue cls = JsonValue::object();
         cls.set("name", spec.name);
@@ -308,8 +245,6 @@ main(int argc, char **argv)
         cls.set("dynOps", r.dynOps);
         cls.set("window_values", r.windowValues);
         cls.set("stream_iters_per_second", timed ? stream_s : 0.0);
-        cls.set("dense_iters_per_second", timed ? dense_s : 0.0);
-        cls.set("speedup", timed ? speedup : 0.0);
         classes.append(std::move(cls));
     }
 

@@ -5,24 +5,31 @@
  *
  *   selvec_fuzz [--seeds N] [--seed-start N] [--deadline-ms N]
  *               [--repro-dir D] [--force-fault SPEC] [--replay-check]
- *               [--optgap] [--simdiff]
+ *               [--optgap]
  *
  * Each seed deterministically derives a generated loop, a randomized
  * stock-machine variant, a technique, a trip count and (for ~30% of
  * seeds, unless --force-fault pins one) a fault-injection plan, then
  * runs the full pipeline under a per-seed deadline and the simulator
- * watchdog — compile, bounded pipelined execution, bitwise
- * verification against the reference interpreter.
+ * watchdog — compile, the DESIGN.md §6.3/§6.4 invariants on the
+ * compiled program, bounded pipelined execution, bitwise verification
+ * against the reference interpreter.
+ *
+ * Every sweep runs with the SELVEC_CHECK_SIM reference check on: each
+ * pipelined run, main and cleanup loops of every technique included,
+ * is re-run on the sequential reference engine from the memory it
+ * started from, and a divergence in outputs, memory or the exit-free
+ * closed-form cycle count aborts the sweep on the spot.
  *
  * Outcomes per seed:
  *   clean      — compiled, ran, verified;
  *   contained  — a structured failure (injected fault, deadline,
  *                watchdog, schedule/partition exhaustion) that the
  *                containment layer absorbed; expected, not a bug;
- *   finding    — a verification divergence or an escape below the
- *                Status layer: a real bug. Findings are minimized by
- *                greedy body-line deletion and exit the sweep with
- *                status 1.
+ *   finding    — a verification divergence, a broken §6.3/§6.4
+ *                invariant or an escape below the Status layer: a
+ *                real bug. Findings are minimized by greedy
+ *                body-line deletion and exit the sweep with status 1.
  *
  * With --repro-dir every non-clean seed writes a selvec-repro-v1
  * bundle (seed<N>.repro.json); --replay-check re-loads each written
@@ -38,24 +45,11 @@
  * strategy=exact: the cheaper partition must still produce a
  * checker-clean program. Fault injection is disabled in this mode.
  *
- * --simdiff switches to the differential simulator sweep: every seed
- * replays with the SELVEC_CHECK_SIM lockstep shadow forced on, so
- * each pipelined run executes on the streaming engine while the
- * dense reference engine re-executes every op instance beside it —
- * operand values, readiness, store-suppression decisions, exit state,
- * and the final observables. Unlike the bench_simspeed differential
- * (one generated main loop per subject), the replay path exercises
- * main/cleanup chaining, distributed loop sequences and every
- * technique's lowered shapes. An engine divergence dies on the spot
- * with both engines' views (the check-mode contract), failing the
- * sweep; structured failures classify as in the default sweep. Fault
- * injection is disabled: this sweep differentiates two clean engines,
- * not the containment layer.
- *
  * The sweep is serial by design: fault plans are process-global.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -67,6 +61,7 @@
 #include "lir/lir.hh"
 #include "support/checkmode.hh"
 #include "support/faultinject.hh"
+#include "support/parsenum.hh"
 #include "support/random.hh"
 #include "workloads/generator.hh"
 
@@ -78,13 +73,12 @@ namespace
 struct FuzzConfig
 {
     uint64_t seedStart = 1;
-    int seeds = 50;
+    int64_t seeds = 50;
     int64_t deadlineMs = 2000;
     std::string reproDir;
     std::string forceFault;
     bool replayCheck = false;
     bool optgap = false;
-    bool simdiff = false;
 };
 
 enum class OutcomeClass { Clean, Contained, Finding };
@@ -241,7 +235,7 @@ int
 runOptgapSweep(const FuzzConfig &config)
 {
     int checked = 0, skipped = 0, gaps = 0, findings = 0;
-    for (int i = 0; i < config.seeds; ++i) {
+    for (int64_t i = 0; i < config.seeds; ++i) {
         uint64_t seed = config.seedStart + static_cast<uint64_t>(i);
         ReproBundle bundle = candidateForSeed(seed, config);
         // No fault injection: this sweep differentiates two clean
@@ -308,48 +302,22 @@ runOptgapSweep(const FuzzConfig &config)
                         status.ok() ? "clean" : "contained");
         }
     }
-    std::printf("optgap: %d seeds, %d checked, %d unproven, %d gaps, "
+    std::printf("optgap: %lld seeds, %d checked, %d unproven, %d gaps, "
                 "%d findings\n",
-                config.seeds, checked, skipped, gaps, findings);
+                static_cast<long long>(config.seeds), checked, skipped,
+                gaps, findings);
     return findings != 0 ? 1 : 0;
 }
 
-/**
- * The differential simulator sweep (--simdiff): see the file comment.
- * Exit 1 on any finding; an engine divergence never returns (the
- * lockstep shadow dies with both engines' views of the instance).
- */
+/** Print the usage line; returns the usage-error exit status. */
 int
-runSimdiffSweep(const FuzzConfig &config)
+usage()
 {
-    setCheckSim(true);
-    int clean = 0, contained = 0, findings = 0;
-    for (int i = 0; i < config.seeds; ++i) {
-        uint64_t seed = config.seedStart + static_cast<uint64_t>(i);
-        ReproBundle bundle = candidateForSeed(seed, config);
-        // No fault injection: this sweep differentiates two clean
-        // engines, not the containment layer.
-        bundle.faultPlan.clear();
-        Status status = replayBundle(bundle).status;
-        OutcomeClass cls = classify(status);
-        if (cls == OutcomeClass::Clean) {
-            ++clean;
-        } else if (cls == OutcomeClass::Contained) {
-            ++contained;
-            std::printf("seed %llu: contained: %s\n",
-                        static_cast<unsigned long long>(seed),
-                        status.str().c_str());
-        } else {
-            ++findings;
-            std::printf("seed %llu: FINDING: %s\n",
-                        static_cast<unsigned long long>(seed),
-                        status.str().c_str());
-        }
-    }
-    std::printf("simdiff: %d seeds, %d clean, %d contained, "
-                "%d findings, 0 divergences\n",
-                config.seeds, clean, contained, findings);
-    return findings != 0 ? 1 : 0;
+    std::fprintf(stderr,
+                 "usage: selvec_fuzz [--seeds N] [--seed-start N] "
+                 "[--deadline-ms N] [--repro-dir D] "
+                 "[--force-fault SPEC] [--replay-check] [--optgap]\n");
+    return 2;
 }
 
 } // anonymous namespace
@@ -360,17 +328,25 @@ main(int argc, char **argv)
     FuzzConfig config;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        // Strict counts: a typo in a sweep's command line is a usage
+        // error (exit 2), never a silent zero-seed pass.
         auto intArg = [&](const char *name, int64_t *out) {
             std::string prefix = std::string(name) + "=";
-            if (arg == name && i + 1 < argc) {
-                *out = std::atoll(argv[++i]);
-                return true;
+            const char *text = nullptr;
+            if (arg == name && i + 1 < argc)
+                text = argv[++i];
+            else if (arg.rfind(prefix, 0) == 0)
+                text = arg.c_str() + prefix.size();
+            else
+                return false;
+            if (!parseNonNegInt(text, out)) {
+                std::fprintf(stderr,
+                             "%s: expected a non-negative integer, "
+                             "got '%s'\n",
+                             name, text);
+                std::exit(usage());
             }
-            if (arg.rfind(prefix, 0) == 0) {
-                *out = std::atoll(arg.c_str() + prefix.size());
-                return true;
-            }
-            return false;
+            return true;
         };
         auto strArg = [&](const char *name, std::string *out) {
             std::string prefix = std::string(name) + "=";
@@ -386,7 +362,7 @@ main(int argc, char **argv)
         };
         int64_t n = 0;
         if (intArg("--seeds", &n)) {
-            config.seeds = static_cast<int>(n);
+            config.seeds = n;
         } else if (intArg("--seed-start", &n)) {
             config.seedStart = static_cast<uint64_t>(n);
         } else if (intArg("--deadline-ms", &n)) {
@@ -398,22 +374,13 @@ main(int argc, char **argv)
             config.replayCheck = true;
         } else if (arg == "--optgap") {
             config.optgap = true;
-        } else if (arg == "--simdiff") {
-            config.simdiff = true;
         } else {
-            std::fprintf(
-                stderr,
-                "usage: selvec_fuzz [--seeds N] [--seed-start N] "
-                "[--deadline-ms N] [--repro-dir D] "
-                "[--force-fault SPEC] [--replay-check] [--optgap] "
-                "[--simdiff]\n");
-            return 2;
+            return usage();
         }
     }
+    setCheckSim(true);
     if (config.optgap)
         return runOptgapSweep(config);
-    if (config.simdiff)
-        return runSimdiffSweep(config);
     if (!config.forceFault.empty()) {
         Expected<FaultPlan> plan = parseFaultPlan(config.forceFault);
         if (!plan.ok()) {
@@ -425,7 +392,7 @@ main(int argc, char **argv)
 
     int clean = 0, contained = 0;
     int findings = 0, bundles = 0, replayMismatches = 0;
-    for (int i = 0; i < config.seeds; ++i) {
+    for (int64_t i = 0; i < config.seeds; ++i) {
         uint64_t seed = config.seedStart + static_cast<uint64_t>(i);
         ReproBundle bundle = candidateForSeed(seed, config);
         Status status = replayBundle(bundle).status;
@@ -477,9 +444,10 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("fuzz: %d seeds, %d clean, %d contained, %d findings, "
+    std::printf("fuzz: %lld seeds, %d clean, %d contained, %d findings, "
                 "%d bundles%s\n",
-                config.seeds, clean, contained, findings, bundles,
+                static_cast<long long>(config.seeds), clean, contained,
+                findings, bundles,
                 replayMismatches != 0 ? " (replay mismatches!)" : "");
     return findings != 0 || replayMismatches != 0 ? 1 : 0;
 }

@@ -86,8 +86,8 @@ main(int argc, char **argv)
     std::string json_path;
     int jobs = 0;
     std::vector<std::string> positional;
-    // Strict numeric parsing: `--jobs abc` is a usage error (exit 2),
-    // never a silent jobs=0 run.
+    // Strict numeric parsing: `--jobs abc` or a trip count of `abc` is
+    // a usage error (exit 2), never a silent zero.
     auto count = [](const char *flag, const char *text) {
         int64_t value = 0;
         if (!parseNonNegInt(text, &value)) {
@@ -156,7 +156,7 @@ main(int argc, char **argv)
                     "loop)\n\n");
     }
     int64_t n = positional.size() > 1
-                    ? std::strtoll(positional[1].c_str(), nullptr, 10)
+                    ? count("trip-count", positional[1].c_str())
                     : 2048;
 
     ParseResult pr = parseLir(text);

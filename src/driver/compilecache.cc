@@ -14,8 +14,6 @@ namespace
 
 bool g_cache_enabled = true;
 
-thread_local int tls_bypass_depth = 0;
-
 /** Every semantic field of the machine, never its name: two machines
  *  that schedule identically must share memo entries. */
 void
@@ -84,24 +82,13 @@ compileCacheActive()
     // run depends on wall-clock time (or the caller's whim), and a
     // stored DeadlineExceeded status would replay as a permanent
     // failure long after the deadline that caused it.
-    return g_cache_enabled && tls_bypass_depth == 0 &&
-           !faultPlanArmed() && !deadlineArmed();
+    return g_cache_enabled && !faultPlanArmed() && !deadlineArmed();
 }
 
 void
 compileCacheClear()
 {
     scheduleCache().clear();
-}
-
-CacheBypassScope::CacheBypassScope()
-{
-    ++tls_bypass_depth;
-}
-
-CacheBypassScope::~CacheBypassScope()
-{
-    --tls_bypass_depth;
 }
 
 std::string

@@ -33,10 +33,7 @@
  *
  * Fault injection. Replaying a stored schedule would skip the fault
  * sites inside it, so the driver bypasses the memo entirely while a
- * FaultPlan or a deadline is armed; CacheBypassScope gives
- * speculative callers (the resilient fan-out) the same bypass
- * per-thread so discarded attempts neither fill the memo nor perturb
- * hit/miss accounting.
+ * FaultPlan or a deadline is armed.
  */
 
 #ifndef SELVEC_DRIVER_COMPILECACHE_HH
@@ -158,8 +155,7 @@ struct ScheduleCacheValue
 };
 
 /** Whether scheduleInto may consult the memo on this thread (enabled,
- *  no fault plan armed, no deadline/cancellation context armed, no
- *  bypass scope). */
+ *  no fault plan armed, no deadline/cancellation context armed). */
 bool compileCacheActive();
 
 /** Globally enable/disable the memo (--no-cache; default on). */
@@ -168,17 +164,6 @@ bool compileCacheEnabled();
 
 /** Drop every memo entry (tests and benchmarks: cold runs). */
 void compileCacheClear();
-
-/** Suppress memo use on this thread for the scope's lifetime. */
-class CacheBypassScope
-{
-  public:
-    CacheBypassScope();
-    ~CacheBypassScope();
-
-    CacheBypassScope(const CacheBypassScope &) = delete;
-    CacheBypassScope &operator=(const CacheBypassScope &) = delete;
-};
 
 /** Canonical key of one lower+schedule+validate request. */
 std::string scheduleCacheKey(const Loop &body, const ArrayTable &arrays,

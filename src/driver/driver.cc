@@ -1,7 +1,5 @@
 #include "driver/driver.hh"
 
-#include <optional>
-
 #include "analysis/depgraph.hh"
 #include "analysis/recmii.hh"
 #include "driver/compilecache.hh"
@@ -14,7 +12,6 @@
 #include "support/faultinject.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
-#include "support/threadpool.hh"
 #include "support/trace.hh"
 #include "vectorize/full.hh"
 #include "vectorize/traditional.hh"
@@ -413,7 +410,7 @@ CompileReport::str() const
 ResilientCompile
 compileLoopResilient(const Loop &loop, ArrayTable &arrays,
                      const Machine &machine, Technique technique,
-                     const DriverOptions &options, int jobs)
+                     const DriverOptions &options)
 {
     TraceSpan span("driver.resilient");
     globalStats().add("driver.resilient.runs");
@@ -431,34 +428,6 @@ compileLoopResilient(const Loop &loop, ArrayTable &arrays,
     }
     size_t tiers = chain.size() + 1;
 
-    // Speculative fan-out: compile every tier concurrently, each
-    // against its own array-table copy and stats sink, then replay
-    // the serial walk over the finished results. Attempts past the
-    // first success are discarded with their sinks unobserved, so
-    // the report and merged stats match the serial chain exactly.
-    std::vector<std::optional<Expected<CompiledProgram>>> speculated;
-    std::vector<ArrayTable> tables;
-    std::vector<StatsRegistry> sinks(tiers);
-    if (jobs > 1 && !faultPlanArmed()) {
-        speculated.resize(tiers);
-        tables.assign(tiers, arrays);
-        TraceContext tctx = traceCurrentContext();
-        ThreadPool pool(jobs);
-        pool.parallelFor(tiers, [&](size_t i) {
-            ScopedStatsSink sink(sinks[i]);
-            TraceContextScope tscope(tctx);
-            // Discarded attempts must not seed the cache or shift
-            // its hit/miss accounting.
-            CacheBypassScope bypass;
-            bool scalar = i == chain.size();
-            speculated[i] =
-                scalar ? tryCompileScalar(loop, tables[i], machine,
-                                          options)
-                       : tryCompileLoop(loop, tables[i], machine,
-                                        chain[i], options);
-        });
-    }
-
     std::string reason;
     for (size_t tier = 0; tier < tiers; ++tier) {
         bool scalar = tier == chain.size();
@@ -468,21 +437,11 @@ compileLoopResilient(const Loop &loop, ArrayTable &arrays,
         attempt.scalarFallback = scalar;
         attempt.fallbackReason = reason;
 
-        std::optional<Expected<CompiledProgram>> attempted;
-        if (!speculated.empty()) {
-            globalStats().mergeFrom(sinks[tier]);
-            attempted = std::move(speculated[tier]);
-        } else if (scalar) {
-            attempted =
-                tryCompileScalar(loop, arrays, machine, options);
-        } else {
-            attempted = tryCompileLoop(loop, arrays, machine,
-                                       chain[tier], options);
-        }
-        Expected<CompiledProgram> &program = *attempted;
+        Expected<CompiledProgram> program =
+            scalar ? tryCompileScalar(loop, arrays, machine, options)
+                   : tryCompileLoop(loop, arrays, machine, chain[tier],
+                                    options);
         if (program.ok()) {
-            if (!speculated.empty())
-                arrays = std::move(tables[tier]);
             attempt.status = Status::success();
             attempt.iiPerIteration =
                 program.value().iiPerIteration();

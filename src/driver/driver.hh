@@ -218,31 +218,21 @@ struct ResilientCompile
  * persistent fault injection or a degenerate machine), the report
  * carries the last status. `arrays` is only updated when a tier
  * succeeds, and only with that tier's temporaries.
- *
- * `jobs` > 1 compiles every tier speculatively in parallel and then
- * replays the serial walk over the results, so the report (attempt
- * order, fallback reasons, chosen tier, stats of adopted attempts)
- * is identical to a serial run; tiers past the first success are
- * discarded unobserved. Speculative tiers bypass the schedule memo —
- * discarded work must not perturb its contents or hit/miss counts —
- * and a run with an armed fault plan always degrades to serial so
- * hit windows stay ordered. Default 1: exactly today's serial chain.
  */
 ResilientCompile compileLoopResilient(const Loop &loop,
                                       ArrayTable &arrays,
                                       const Machine &machine,
                                       Technique technique,
-                                      const DriverOptions &options = {},
-                                      int jobs = 1);
+                                      const DriverOptions &options = {});
 
 /**
  * Prebuilt streaming-executor plans for every loop of a compiled
  * program (sim/execplan.hh). A plan depends only on (loop, schedule,
- * machine) — not on trip count, memory or live-ins — so a program
- * that executes more than once (the batch service, benches, repeated
- * evaluation probes) builds its plans once with planCompiled() and
- * passes them to runCompiled / tryRunCompiled; those executions then
- * record `sim.plan.reuses` instead of rebuilding (`sim.plan.builds`).
+ * machine) — not on trip count, memory or live-ins — so it can be
+ * built apart from any run: planCompiled() builds every plan of a
+ * program once, and runCompiled / tryRunCompiled take them, however
+ * often the program then runs. A run handed a prebuilt plan records
+ * `sim.plan.reuses` instead of building one (`sim.plan.builds`).
  */
 struct ProgramPlans
 {

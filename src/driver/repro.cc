@@ -501,6 +501,38 @@ loadReproBundle(const std::string &path)
     return reproBundleOfJson(doc.value());
 }
 
+Status
+checkCompiledInvariants(const CompiledProgram &program)
+{
+    for (const CompiledLoop &cl : program.loops) {
+        if (cl.mainResMii > cl.mainSchedule.ii ||
+            cl.mainRecMii > cl.mainSchedule.ii) {
+            return Status::error(
+                ErrorCode::VerifyFailed, "replay",
+                strfmt("loop '%s': II %lld is below its ResMII %lld "
+                       "or RecMII %lld (DESIGN.md §6.4)",
+                       cl.main.name.c_str(),
+                       static_cast<long long>(cl.mainSchedule.ii),
+                       static_cast<long long>(cl.mainResMii),
+                       static_cast<long long>(cl.mainRecMii)));
+        }
+    }
+    if (program.technique == Technique::Selective &&
+        !program.partition.exactUsed && !program.loops.empty() &&
+        program.partition.bestCost != program.loops[0].mainResMii) {
+        return Status::error(
+            ErrorCode::VerifyFailed, "replay",
+            strfmt("loop '%s': KL partition cost %lld differs from "
+                   "the transformed loop's ResMII %lld (DESIGN.md "
+                   "§6.3)",
+                   program.loops[0].main.name.c_str(),
+                   static_cast<long long>(program.partition.bestCost),
+                   static_cast<long long>(
+                       program.loops[0].mainResMii)));
+    }
+    return Status::success();
+}
+
 ReplayOutcome
 replayBundle(const ReproBundle &bundle)
 {
@@ -539,6 +571,10 @@ replayBundle(const ReproBundle &bundle)
                            bundle.technique, bundle.options);
         if (!compiled.ok()) {
             outcome.status = compiled.status();
+        } else if (Status broken =
+                       checkCompiledInvariants(compiled.value());
+                   !broken) {
+            outcome.status = broken;
         } else {
             MemoryImage mem(arrays);
             mem.fillPattern(

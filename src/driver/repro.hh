@@ -87,11 +87,21 @@ struct ReplayOutcome
 };
 
 /**
+ * DESIGN.md §6.3 and §6.4 on a compiled program: every loop's II is at
+ * least its main loop's ResMII and RecMII, and a Selective program
+ * whose partition came from KL costs exactly its transformed loop's
+ * ResMII. Returns VerifyFailed at stage "replay" naming the first
+ * violation, or success.
+ */
+Status checkCompiledInvariants(const CompiledProgram &program);
+
+/**
  * Re-run a bundle deterministically: arm its fault plan and deadline,
- * compile with its exact options, execute bounded, and verify against
- * the reference interpreter (a divergence is a VerifyFailed status,
- * not a panic). Restores the previously installed fault plan before
- * returning.
+ * compile with its exact options, check the compiled program's
+ * invariants (checkCompiledInvariants), execute bounded, and verify
+ * against the reference interpreter (a broken invariant or a
+ * divergence is a VerifyFailed status, not a panic). Restores the
+ * previously installed fault plan before returning.
  */
 ReplayOutcome replayBundle(const ReproBundle &bundle);
 

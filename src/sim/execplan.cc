@@ -153,8 +153,8 @@ buildExecPlan(const Loop &loop, const ModuloSchedule &schedule,
 
     // Within one II block, ascending slot is ascending cycle; at one
     // cycle, descending stage is ascending iteration (j = block -
-    // stage); OpId breaks the remaining ties — together exactly the
-    // dense engine's (cycle, j, op) event order.
+    // stage); OpId breaks the remaining ties — together global
+    // (cycle, j, op) event order.
     std::sort(plan.issues.begin(), plan.issues.end(),
               [](const PlanIssue &a, const PlanIssue &b) {
                   if (a.slot != b.slot)

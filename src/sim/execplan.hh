@@ -7,8 +7,7 @@
  *
  * The pipelined event stream is periodic with period II — the op at
  * kernel time t of body iteration j issues at cycle j*II + t. Sorting
- * the full event list (the dense reference engine's approach) is
- * therefore redundant: group ops by their II slot (t mod II) and
+ * a full n_body x ops event list is therefore redundant: group ops by their II slot (t mod II) and
  * pipeline stage (t div II), sort that template once, and the sorted
  * global order is the template replayed per II block with a rolling
  * iteration window. The plan also peels every operand's carried-value
@@ -60,7 +59,7 @@ struct PlanOperand
     /** Frame: kernel time + latency of the terminal value's defining
      *  op; completion is (j - hops)*II + readyBase. INT64_MIN when
      *  the terminal value has no defining op (reading it dies with
-     *  the same diagnostics as the dense engine). */
+     *  a diagnostic naming the value). */
     int64_t readyBase = INT64_MIN;
 };
 
@@ -121,8 +120,8 @@ struct ExecPlan
     std::vector<ValueId> initPool;      ///< peeled chain init values
 
     /** One entry per op, sorted by (slot asc, stage desc, op asc):
-     *  replaying this per II block enumerates instances in exactly
-     *  the dense engine's (cycle, j, op) order. */
+     *  replaying this per II block enumerates instances in global
+     *  (cycle, j, op) order. */
     std::vector<PlanIssue> issues;
 
     /** Values defined before the run: live-ins, preload dests, splat
@@ -131,7 +130,7 @@ struct ExecPlan
     std::vector<bool> globalMask;
 
     /** Defining op per value (kNoOp: externally defined or never
-     *  defined). Last definition wins, as in the dense engine. */
+     *  defined). Last definition wins. */
     std::vector<OpId> defOf;
 };
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
-#include <new>
-#include <stdexcept>
+#include <optional>
 #include <unordered_map>
 
 #include "sim/execplan.hh"
@@ -38,18 +36,14 @@ struct ExecAbort
 class EngineBase
 {
   public:
-    EngineBase(const ArrayTable &arrays, const Loop &loop,
-               const Machine &machine, MemoryImage &mem,
-               const LiveEnv &live_ins, int64_t n_body, int64_t base,
-               const ModuloSchedule *schedule,
-               const ExecLimits *limits)
-        : arrays(arrays), loop(loop), machine(machine), mem(mem),
-          nBody(n_body), base(base), schedule(schedule),
-          limits(limits),
+    EngineBase(const Loop &loop, const Machine &machine,
+               MemoryImage &mem, const LiveEnv &live_ins,
+               int64_t n_body, int64_t base, const ExecLimits *limits)
+        : loop(loop), machine(machine), mem(mem), nBody(n_body),
+          base(base), limits(limits),
           globals(static_cast<size_t>(loop.numValues())),
           hasGlobal(static_cast<size_t>(loop.numValues()), false)
     {
-        static_cast<void>(arrays);
         bindLiveIns(live_ins);
         runPreloads();
         runSplats();
@@ -78,19 +72,6 @@ class EngineBase
         return j * loop.coverage + loop.op(id).replica;
     }
 
-    /** Issue-to-completion span of one overlapped body. */
-    int64_t
-    completionSpan() const
-    {
-        int64_t span = 0;
-        for (OpId op = 0; op < loop.numOps(); ++op) {
-            span = std::max(span,
-                            schedule->time[static_cast<size_t>(op)] +
-                                machine.latency(loop.op(op).opcode));
-        }
-        return span;
-    }
-
     /** Assemble the run's observable outputs; shared verbatim by both
      *  engines so they cannot diverge on epilogue semantics. */
     RunOutput
@@ -109,11 +90,6 @@ class EngineBase
             int64_t body = exitOrig / loop.coverage;
             int replica =
                 static_cast<int>(exitOrig % loop.coverage);
-            if (schedule != nullptr) {
-                // The pipeline drains after the exiting body.
-                out.cycles =
-                    body * schedule->ii + completionSpan();
-            }
             if (loop.coverage == 1) {
                 for (size_t c = 0; c < loop.carried.size(); ++c) {
                     const CarriedValue &cv = loop.carried[c];
@@ -343,107 +319,62 @@ class EngineBase
         hasGlobal[static_cast<size_t>(v)] = true;
     }
 
-    const ArrayTable &arrays;
+    /** Poll the ambient deadline every 1024 op instances of a bounded
+     *  run: a clock read per handful of ops would scale with the
+     *  body, not with wall time. */
+    void
+    pollDeadline()
+    {
+        if (limits != nullptr && (processed++ & 1023) == 0 &&
+            deadlineArmed()) {
+            Status trip = checkDeadline("sim");
+            if (!trip)
+                throw ExecAbort{trip};
+        }
+    }
+
     const Loop &loop;
     const Machine &machine;
     MemoryImage &mem;
     int64_t nBody;
     int64_t base;
-    const ModuloSchedule *schedule;
     const ExecLimits *limits;   ///< non-null: bounded run
 
     std::vector<RtVal> globals;
     std::vector<bool> hasGlobal;
     int64_t exitOrig = INT64_MAX;
     std::array<int64_t, kNumOpClasses> dynOps{};
+    size_t processed = 0;   ///< op instances seen by pollDeadline
 };
 
 /**
- * The dense reference engine: materializes the full event list (or
- * runs iterations in program order in sequential mode) with
- * per-iteration value environments. O(n_body * ops) time and memory.
- * Kept as the correctness oracle for the streaming engine — both as
- * tryExecuteLoopDense for differential tests and as the per-instance
- * lockstep shadow behind SELVEC_CHECK_SIM (the public instance-level
- * methods exist for the shadow).
+ * The reference engine (DESIGN.md §12): body operations run in
+ * program order, iteration by iteration, against per-iteration value
+ * environments. It serves every sequential run and, under
+ * SELVEC_CHECK_SIM, re-runs each pipelined run as its oracle.
+ *
+ * Early exits: an ExitIf whose condition is nonzero records the
+ * earliest exiting iteration; stores of later iterations are
+ * suppressed, exactly as the pipeline suppresses its speculative
+ * stores.
  */
-class DenseEngine : public EngineBase
+class ReferenceEngine : public EngineBase
 {
   public:
-    DenseEngine(const ArrayTable &arrays, const Loop &loop,
-                const Machine &machine, MemoryImage &mem,
-                const LiveEnv &live_ins, int64_t n_body, int64_t base,
-                const ModuloSchedule *schedule,
-                const ExecLimits *limits = nullptr)
-        : EngineBase(arrays, loop, machine, mem, live_ins, n_body,
-                     base, schedule, limits)
-    {
-    }
+    using EngineBase::EngineBase;
 
     RunOutput
     run()
     {
-        prepare();
-        int64_t cycles = 0;
-        if (schedule != nullptr)
-            cycles = runPipelined();
-        else
-            runSequential();
-        return buildOutput(cycles);
-    }
-
-    // --- instance-level interface for the SELVEC_CHECK_SIM shadow ---
-
-    /** Reset per-run state; the shadow calls this once, then feeds
-     *  instances through execInstance in global schedule order. */
-    void
-    prepare()
-    {
         envs.assign(static_cast<size_t>(nBody),
                     std::unordered_map<ValueId, RtVal>());
-        dynOps.fill(0);
-    }
-
-    void
-    execInstance(int64_t j, OpId id, int64_t cycle)
-    {
-        executeOp(j, id, cycle);
-    }
-
-    RtVal
-    readValueAt(int64_t j, ValueId v)
-    {
-        return readValue(j, v);
-    }
-
-    int64_t
-    readyTimeAt(int64_t j, ValueId v)
-    {
-        return readyTime(j, v);
-    }
-
-    int64_t
-    exitOrigNow() const
-    {
-        return exitOrig;
-    }
-
-    const RtVal &
-    envValue(int64_t j, ValueId v)
-    {
-        auto &env = envs[static_cast<size_t>(j)];
-        auto it = env.find(v);
-        SV_ASSERT(it != env.end(),
-                  "SELVEC_CHECK_SIM: dense shadow has no result for "
-                  "'%s' of iteration %lld", vname(v),
-                  static_cast<long long>(j));
-        return it->second;
-    }
-
-    RunOutput
-    finishShadow(int64_t cycles)
-    {
-        return buildOutput(cycles);
+        for (int64_t j = 0; j < nBody; ++j) {
+            for (OpId id = 0; id < loop.numOps(); ++id) {
+                pollDeadline();
+                executeOp(j, id);
+            }
+        }
+        return buildOutput(0);
     }
 
   protected:
@@ -478,43 +409,17 @@ class DenseEngine : public EngineBase
     }
 
   private:
-    /**
-     * Execute one op instance. In pipelined mode `cycle` is the issue
-     * cycle: every register operand's producer must have COMPLETED
-     * (issue + latency <= cycle) — the executor checks latencies
-     * independently of the schedule checker. Sequential mode passes
-     * cycle = -1 (no timing).
-     *
-     * Early exits: an ExitIf whose condition is nonzero records the
-     * earliest exiting iteration; stores of later iterations are
-     * suppressed (the dependence edges guarantee the deciding exits
-     * have resolved before any suppressible store issues).
-     */
     void
-    executeOp(int64_t j, OpId id, int64_t cycle)
+    executeOp(int64_t j, OpId id)
     {
         const Operation &op = loop.op(id);
         if (op.isStore() && origOf(j, id) > exitOrig)
-            return;   // speculative store past the exit
+            return;   // store past the exit
         std::vector<RtVal> operands;
         operands.reserve(op.srcs.size());
-        for (ValueId s : op.srcs) {
-            if (s == kNoValue) {
-                operands.push_back(RtVal{});
-                continue;
-            }
-            if (cycle >= 0) {
-                int64_t ready = readyTime(j, s);
-                SV_ASSERT(ready <= cycle,
-                          "op #%d of iteration %lld reads '%s' at "
-                          "cycle %lld but it completes at %lld",
-                          id, static_cast<long long>(j),
-                          vname(s),
-                          static_cast<long long>(cycle),
-                          static_cast<long long>(ready));
-            }
-            operands.push_back(readValue(j, s));
-        }
+        for (ValueId s : op.srcs)
+            operands.push_back(s == kNoValue ? RtVal{}
+                                             : readValue(j, s));
         ++dynOps[static_cast<size_t>(opClass(op.opcode))];
         if (op.opcode == Opcode::ExitIf) {
             if (operands[0].laneI(0) != 0)
@@ -527,187 +432,7 @@ class DenseEngine : public EngineBase
             envs[static_cast<size_t>(j)][op.dest] = std::move(result);
     }
 
-    /**
-     * Completion cycle of the value read as `v` in iteration j
-     * (pipelined mode). Externally defined values (live-ins, splats,
-     * preloads, initial carried state) are ready before cycle 0.
-     */
-    int64_t
-    readyTime(int64_t j, ValueId v)
-    {
-        if (hasGlobal[static_cast<size_t>(v)])
-            return 0;
-        int ci = loop.carriedIndexOfIn(v);
-        if (ci >= 0) {
-            if (j == 0)
-                return 0;
-            return readyTime(j - 1,
-                             loop.carried[static_cast<size_t>(ci)]
-                                 .update);
-        }
-        OpId def = defOf(v);
-        SV_ASSERT(def != kNoOp, "ready time of undefined value");
-        return j * schedule->ii +
-               schedule->time[static_cast<size_t>(def)] +
-               machine.latency(loop.op(def).opcode);
-    }
-
-    /** Cached defining op per value (kNoOp for external defs). */
-    OpId
-    defOf(ValueId v)
-    {
-        if (defCache.empty()) {
-            defCache.assign(static_cast<size_t>(loop.numValues()),
-                            kNoOp);
-            for (OpId id = 0; id < loop.numOps(); ++id) {
-                if (loop.op(id).dest != kNoValue)
-                    defCache[static_cast<size_t>(loop.op(id).dest)] =
-                        id;
-            }
-        }
-        return defCache[static_cast<size_t>(v)];
-    }
-
-    void
-    runSequential()
-    {
-        // The deadline poll matches the pipelined engine's cadence
-        // (every 1024 op instances) instead of once per body
-        // iteration: wide bodies were paying a clock read per
-        // handful of ops, and the cost scales with the body, not
-        // with wall time.
-        size_t processed = 0;
-        for (int64_t j = 0; j < nBody; ++j) {
-            for (OpId id = 0; id < loop.numOps(); ++id) {
-                if (limits != nullptr && (processed++ & 1023) == 0 &&
-                    deadlineArmed()) {
-                    Status trip = checkDeadline("sim");
-                    if (!trip)
-                        throw ExecAbort{trip};
-                }
-                executeOp(j, id, -1);
-            }
-        }
-    }
-
-    int64_t
-    runPipelined()
-    {
-        SV_ASSERT(static_cast<int>(schedule->time.size()) ==
-                      loop.numOps(),
-                  "schedule sized for a different loop");
-        struct Event
-        {
-            int64_t cycle;
-            int64_t j;
-            OpId op;
-        };
-        // The event list is the dense engine's whole point and its
-        // whole weakness: n_body * numOps entries. Refuse oversized
-        // runs with a structured status instead of dying in the
-        // allocator (the streaming engine handles them in O(1) space).
-        const int64_t num_ops = loop.numOps();
-        if (num_ops > 0 &&
-            nBody > std::numeric_limits<int64_t>::max() / num_ops) {
-            throw ExecAbort{Status::error(
-                ErrorCode::InvalidInput, "sim",
-                strfmt("loop '%s': %lld body iterations x %d "
-                       "operations overflow the dense event list",
-                       loop.name.c_str(),
-                       static_cast<long long>(nBody),
-                       static_cast<int>(num_ops)))};
-        }
-        std::vector<Event> events;
-        try {
-            events.reserve(
-                static_cast<size_t>(nBody * num_ops));
-            for (int64_t j = 0; j < nBody; ++j) {
-                for (OpId id = 0; id < num_ops; ++id) {
-                    events.push_back(Event{
-                        j * schedule->ii +
-                            schedule->time[static_cast<size_t>(id)],
-                        j, id});
-                }
-            }
-        } catch (const std::bad_alloc &) {
-            throw ExecAbort{Status::error(
-                ErrorCode::InvalidInput, "sim",
-                strfmt("loop '%s': dense event list of %lld "
-                       "instances exceeds available memory",
-                       loop.name.c_str(),
-                       static_cast<long long>(nBody * num_ops)))};
-        } catch (const std::length_error &) {
-            throw ExecAbort{Status::error(
-                ErrorCode::InvalidInput, "sim",
-                strfmt("loop '%s': dense event list of %lld "
-                       "instances exceeds available memory",
-                       loop.name.c_str(),
-                       static_cast<long long>(nBody * num_ops)))};
-        }
-        std::sort(events.begin(), events.end(),
-                  [](const Event &a, const Event &b) {
-                      if (a.cycle != b.cycle)
-                          return a.cycle < b.cycle;
-                      if (a.j != b.j)
-                          return a.j < b.j;
-                      return a.op < b.op;
-                  });
-
-        // Cycle watchdog (bounded runs only): the expected completion
-        // comes from the schedule itself, so a valid schedule cannot
-        // trip the derived bound — it contains mis-scheduled
-        // pipelines whose event cycles run away, and the explicit
-        // maxCycles ceiling covers genuine-trip tests and replays.
-        int64_t max_cycles = 0;
-        if (limits != nullptr) {
-            int64_t expected = nBody * schedule->ii + completionSpan();
-            max_cycles = limits->maxCycles;
-            if (max_cycles <= 0 && limits->watchdogFactor > 0) {
-                max_cycles = limits->watchdogFactor *
-                             std::max<int64_t>(1, expected);
-            }
-            if (max_cycles > 0 && faultPointHit("sim.watchdog")) {
-                throw ExecAbort{Status::error(
-                    ErrorCode::WatchdogTripped, "sim",
-                    strfmt("fault injected at sim.watchdog: pipelined "
-                           "run of loop '%s' forced past its cycle "
-                           "bound of %lld",
-                           loop.name.c_str(),
-                           static_cast<long long>(max_cycles)))};
-            }
-        }
-
-        int64_t completion = 0;
-        size_t processed = 0;
-        for (const Event &e : events) {
-            if (max_cycles > 0 && e.cycle > max_cycles) {
-                throw ExecAbort{Status::error(
-                    ErrorCode::WatchdogTripped, "sim",
-                    strfmt("loop '%s': event due at cycle %lld "
-                           "exceeds the watchdog bound of %lld "
-                           "(%lld body iterations at II %lld)",
-                           loop.name.c_str(),
-                           static_cast<long long>(e.cycle),
-                           static_cast<long long>(max_cycles),
-                           static_cast<long long>(nBody),
-                           static_cast<long long>(schedule->ii)))};
-            }
-            if (limits != nullptr && (processed++ & 1023) == 0 &&
-                deadlineArmed()) {
-                Status trip = checkDeadline("sim");
-                if (!trip)
-                    throw ExecAbort{trip};
-            }
-            executeOp(e.j, e.op, e.cycle);
-            int64_t done =
-                e.cycle + machine.latency(loop.op(e.op).opcode);
-            completion = std::max(completion, done);
-        }
-        return completion;
-    }
-
     std::vector<std::unordered_map<ValueId, RtVal>> envs;
-    std::vector<OpId> defCache;
 };
 
 /**
@@ -717,11 +442,11 @@ class DenseEngine : public EngineBase
  * window of `plan.windowFrames` dense register frames: II block q
  * opens frame q (retiring frame q - W), then issues the template —
  * entry (slot, stage, op) is iteration j = q - stage at cycle
- * q*II + slot — which enumerates instances in exactly the dense
- * engine's (cycle, j, op) order. Operand reads, readiness checks and
- * result writes are all O(1) array accesses via the plan, and
- * evalOpInto reuses each ring slot's storage, so steady-state
- * execution allocates nothing and memory is O(windowFrames * values),
+ * q*II + slot — which enumerates instances in global (cycle,
+ * iteration, op) order. Operand reads, readiness checks and result
+ * writes are all O(1) array accesses via the plan, and evalOpInto
+ * reuses each ring slot's storage, so steady-state execution
+ * allocates nothing and memory is O(windowFrames * values),
  * independent of the trip count.
  *
  * The epilogue needs reads the window no longer holds, all of a
@@ -732,37 +457,24 @@ class DenseEngine : public EngineBase
  * frame and its adjacent sigmas are snapshotted at retirement. A
  * read a frame can no longer serve and no snapshot covers is an
  * internal invariant violation (SV_PANIC), not silent data.
- *
- * With SELVEC_CHECK_SIM on, a DenseEngine shadow executes every
- * instance in lockstep and the run dies on the first divergence in
- * suppression, operand values, readiness, exit state, results or
- * final outputs.
  */
 class StreamEngine : public EngineBase
 {
   public:
-    StreamEngine(const ArrayTable &arrays, const Loop &loop,
-                 const Machine &machine, MemoryImage &mem,
-                 const LiveEnv &live_ins, int64_t n_body,
-                 int64_t base, const ModuloSchedule *schedule,
+    StreamEngine(const Loop &loop, const Machine &machine,
+                 MemoryImage &mem, const LiveEnv &live_ins,
+                 int64_t n_body, int64_t base,
                  const ExecLimits *limits, const ExecPlan &plan)
-        : EngineBase(arrays, loop, machine, mem, live_ins, n_body,
-                     base, schedule, limits),
-          plan(plan), liveIns(live_ins),
-          W(plan.windowFrames),
+        : EngineBase(loop, machine, mem, live_ins, n_body, base,
+                     limits),
+          plan(plan), W(plan.windowFrames),
           numVals(static_cast<size_t>(plan.numValues))
     {
-        SV_ASSERT(schedule != nullptr &&
-                      plan.ii == schedule->ii &&
-                      plan.numOps == loop.numOps() &&
-                      plan.numValues == loop.numValues(),
-                  "plan built for a different (loop, schedule)");
         ring.resize(static_cast<size_t>(W) * numVals);
         ringEpoch.assign(static_cast<size_t>(W) * numVals, -1);
         frameIter.assign(static_cast<size_t>(W), -1);
-        size_t cap = static_cast<size_t>(std::max(plan.maxSrcs, 1));
-        operandPtrs.resize(cap);
-        readyScratch.assign(cap, 0);
+        operandPtrs.resize(
+            static_cast<size_t>(std::max(plan.maxSrcs, 1)));
         snapFrame.resize(numVals);
         snapDefined.assign(numVals, 0);
         // Ops whose dest is also a same-iteration frame operand
@@ -787,20 +499,13 @@ class StreamEngine : public EngineBase
     RunOutput
     run()
     {
-        if (checkSimEnabled()) {
-            shadow.reset(new DenseEngine(arrays, loop, machine, mem,
-                                         liveIns, nBody, base,
-                                         schedule, nullptr));
-            shadow->prepare();
-        }
-        dynOps.fill(0);
         initSigma();
-        int64_t cycles = runStreaming();
-        if (shadow)
-            verifyPoststoreSources();
-        RunOutput out = buildOutput(cycles);
-        if (shadow)
-            verifyFinal(cycles, out);
+        RunOutput out = buildOutput(runStreaming());
+        // The pipeline drains after the exiting body.
+        if (out.exited) {
+            out.cycles = out.exitOrig / loop.coverage * plan.ii +
+                         plan.completionSpan;
+        }
         return out;
     }
 
@@ -875,8 +580,8 @@ class StreamEngine : public EngineBase
   private:
     /** What one carried-in value reads at a completed iteration
      *  boundary. Unbound inits and never-produced updates are
-     *  recorded, not fatal: the dense engine only dies when such a
-     *  value is actually read, and the epilogue may never read it. */
+     *  recorded, not fatal: a run dies only when such a value is
+     *  actually read, and the epilogue may never read it. */
     struct SigmaEntry
     {
         RtVal val;
@@ -1035,12 +740,13 @@ class StreamEngine : public EngineBase
 
     /** Resolve one plan operand for iteration j: a pointer into the
      *  globals, the init pool's bindings, or the ring — no recursion,
-     *  no copy. Mirrors the dense engine's readiness check. */
+     *  no copy. A ring read asserts its producer has completed by
+     *  `cycle`: the executor checks latencies independently of the
+     *  schedule checker. */
     const RtVal *
     resolveRead(const PlanOperand &po, int64_t j, OpId id,
-                ValueId src, int64_t cycle, int64_t &ready)
+                ValueId src, int64_t cycle)
     {
-        ready = 0;
         switch (po.kind) {
           case PlanOperand::Kind::None:
             return &emptyVal;
@@ -1060,7 +766,7 @@ class StreamEngine : public EngineBase
             int64_t f = j - po.hops;
             SV_ASSERT(po.readyBase != INT64_MIN,
                       "ready time of undefined value");
-            ready = f * plan.ii + po.readyBase;
+            int64_t ready = f * plan.ii + po.readyBase;
             SV_ASSERT(ready <= cycle,
                       "op #%d of iteration %lld reads '%s' at "
                       "cycle %lld but it completes at %lld",
@@ -1090,58 +796,55 @@ class StreamEngine : public EngineBase
         return globals[static_cast<size_t>(init)];
     }
 
+    /** Speculative stores past the exit are suppressed (the
+     *  dependence edges guarantee the deciding exits have resolved
+     *  before any suppressible store issues). */
     void
     execInstance(int64_t j, OpId id, int64_t cycle)
     {
         const Operation &op = loop.op(id);
         const PlanOp &pop = plan.ops[static_cast<size_t>(id)];
         ++instances;
-        bool suppressed =
-            pop.isStore && origOf(j, id) > exitOrig;
-        if (!suppressed) {
-            for (int32_t i = 0; i < pop.srcCount; ++i) {
-                const PlanOperand &po =
-                    plan.operands[static_cast<size_t>(pop.srcBegin +
-                                                      i)];
-                operandPtrs[static_cast<size_t>(i)] =
-                    resolveRead(po, j, id, op.srcs[static_cast<
-                                    size_t>(i)],
-                                cycle,
-                                readyScratch[static_cast<size_t>(i)]);
-            }
-            ++dynOps[pop.opClassIdx];
-            if (pop.isExitIf) {
-                if (operandPtrs[0]->laneI(0) != 0)
-                    noteExit(origOf(j, id));
-            } else if (pop.dest == kNoValue) {
+        if (pop.isStore && origOf(j, id) > exitOrig)
+            return;
+        for (int32_t i = 0; i < pop.srcCount; ++i) {
+            const PlanOperand &po =
+                plan.operands[static_cast<size_t>(pop.srcBegin + i)];
+            operandPtrs[static_cast<size_t>(i)] = resolveRead(
+                po, j, id, op.srcs[static_cast<size_t>(i)], cycle);
+        }
+        ++dynOps[pop.opClassIdx];
+        if (pop.isExitIf) {
+            if (operandPtrs[0]->laneI(0) != 0)
+                noteExit(origOf(j, id));
+        } else if (pop.dest == kNoValue) {
+            evalOpInto(voidDest, op, operandPtrs.data(),
+                       static_cast<size_t>(pop.srcCount), base + j,
+                       machine.vectorLength, mem);
+        } else {
+            size_t idx = ringIndex(j, pop.dest);
+            if (selfRead[static_cast<size_t>(id)] != 0) {
                 evalOpInto(voidDest, op, operandPtrs.data(),
                            static_cast<size_t>(pop.srcCount),
                            base + j, machine.vectorLength, mem);
+                ring[idx] = voidDest;
             } else {
-                size_t idx = ringIndex(j, pop.dest);
-                if (selfRead[static_cast<size_t>(id)] != 0) {
-                    evalOpInto(voidDest, op, operandPtrs.data(),
-                               static_cast<size_t>(pop.srcCount),
-                               base + j, machine.vectorLength, mem);
-                    ring[idx] = voidDest;
-                } else {
-                    evalOpInto(ring[idx], op, operandPtrs.data(),
-                               static_cast<size_t>(pop.srcCount),
-                               base + j, machine.vectorLength, mem);
-                }
-                ringEpoch[idx] = j;
+                evalOpInto(ring[idx], op, operandPtrs.data(),
+                           static_cast<size_t>(pop.srcCount),
+                           base + j, machine.vectorLength, mem);
             }
+            ringEpoch[idx] = j;
         }
-        if (shadow)
-            shadowCheck(j, id, cycle, suppressed, op, pop);
     }
 
     int64_t
     runStreaming()
     {
-        // Watchdog setup: identical to the dense engine, including
-        // the injected-fault probe, so bounded-run failure behavior
-        // is bit-for-bit the same.
+        // Cycle watchdog (bounded runs only): the expected completion
+        // comes from the schedule itself, so a valid schedule cannot
+        // trip the derived bound — it contains mis-scheduled
+        // pipelines whose cycles run away, and the explicit
+        // maxCycles ceiling covers genuine-trip tests and replays.
         int64_t max_cycles = 0;
         if (limits != nullptr) {
             int64_t expected =
@@ -1163,7 +866,6 @@ class StreamEngine : public EngineBase
         }
 
         int64_t completion = 0;
-        size_t processed = 0;
         if (nBody > 0) {
             const int64_t q_max = nBody - 1 + plan.maxStage;
             for (int64_t q = 0; q <= q_max; ++q) {
@@ -1189,13 +891,7 @@ class StreamEngine : public EngineBase
                                    static_cast<long long>(
                                        plan.ii)))};
                     }
-                    if (limits != nullptr &&
-                        (processed++ & 1023) == 0 &&
-                        deadlineArmed()) {
-                        Status trip = checkDeadline("sim");
-                        if (!trip)
-                            throw ExecAbort{trip};
-                    }
+                    pollDeadline();
                     execInstance(j, is.op, cycle);
                     int64_t done =
                         cycle +
@@ -1208,127 +904,7 @@ class StreamEngine : public EngineBase
         return completion;
     }
 
-    // --- SELVEC_CHECK_SIM lockstep shadow ---
-
-    void
-    shadowCheck(int64_t j, OpId id, int64_t cycle, bool suppressed,
-                const Operation &op, const PlanOp &pop)
-    {
-        bool shadow_sup = pop.isStore &&
-                          origOf(j, id) > shadow->exitOrigNow();
-        if (shadow_sup != suppressed) {
-            SV_PANIC("SELVEC_CHECK_SIM: loop '%s' op #%d iteration "
-                     "%lld: store suppression %d (streaming) vs %d "
-                     "(dense)", loop.name.c_str(), id,
-                     static_cast<long long>(j),
-                     static_cast<int>(suppressed),
-                     static_cast<int>(shadow_sup));
-        }
-        if (!suppressed) {
-            for (int32_t i = 0; i < pop.srcCount; ++i) {
-                ValueId s = op.srcs[static_cast<size_t>(i)];
-                if (s == kNoValue)
-                    continue;
-                int64_t sready = shadow->readyTimeAt(j, s);
-                if (sready != readyScratch[static_cast<size_t>(i)]) {
-                    SV_PANIC("SELVEC_CHECK_SIM: loop '%s' op #%d "
-                             "iteration %lld src '%s': ready %lld "
-                             "(streaming) vs %lld (dense)",
-                             loop.name.c_str(), id,
-                             static_cast<long long>(j), vname(s),
-                             static_cast<long long>(
-                                 readyScratch[static_cast<size_t>(
-                                     i)]),
-                             static_cast<long long>(sready));
-                }
-                RtVal sval = shadow->readValueAt(j, s);
-                if (!(sval ==
-                      *operandPtrs[static_cast<size_t>(i)])) {
-                    SV_PANIC("SELVEC_CHECK_SIM: loop '%s' op #%d "
-                             "iteration %lld: operand '%s' diverges "
-                             "between streaming and dense engines",
-                             loop.name.c_str(), id,
-                             static_cast<long long>(j), vname(s));
-                }
-            }
-        }
-        // Re-executing in the shadow is safe: operands were just
-        // proven equal, so stores rewrite identical bytes.
-        shadow->execInstance(j, id, cycle);
-        if (shadow->exitOrigNow() != exitOrig) {
-            SV_PANIC("SELVEC_CHECK_SIM: loop '%s' op #%d iteration "
-                     "%lld: exitOrig %lld (streaming) vs %lld "
-                     "(dense)", loop.name.c_str(), id,
-                     static_cast<long long>(j),
-                     static_cast<long long>(exitOrig),
-                     static_cast<long long>(shadow->exitOrigNow()));
-        }
-        if (!suppressed && !pop.isExitIf && pop.dest != kNoValue) {
-            const RtVal &sv = shadow->envValue(j, pop.dest);
-            if (!(sv == ring[ringIndex(j, pop.dest)])) {
-                SV_PANIC("SELVEC_CHECK_SIM: loop '%s' op #%d "
-                         "iteration %lld: result '%s' diverges "
-                         "between streaming and dense engines",
-                         loop.name.c_str(), id,
-                         static_cast<long long>(j),
-                         vname(pop.dest));
-            }
-        }
-    }
-
-    /** buildOutput re-runs poststores in the shadow; prove the
-     *  stored values match first so the double store is idempotent. */
-    void
-    verifyPoststoreSources()
-    {
-        if (exitOrig != INT64_MAX || nBody == 0)
-            return;
-        for (const PostStore &ps : loop.poststores) {
-            RtVal mine = readValue(nBody - 1, ps.src);
-            RtVal theirs = shadow->readValueAt(nBody - 1, ps.src);
-            if (!(mine == theirs)) {
-                SV_PANIC("SELVEC_CHECK_SIM: loop '%s': poststore "
-                         "source '%s' diverges between streaming "
-                         "and dense engines", loop.name.c_str(),
-                         vname(ps.src));
-            }
-        }
-    }
-
-    void
-    verifyFinal(int64_t cycles, const RunOutput &out)
-    {
-        RunOutput sout = shadow->finishShadow(cycles);
-        bool ok = sout.bodyIterations == out.bodyIterations &&
-                  sout.cycles == out.cycles &&
-                  sout.exited == out.exited &&
-                  sout.exitOrig == out.exitOrig &&
-                  sout.dynOps == out.dynOps &&
-                  envEqual(sout.liveOuts, out.liveOuts) &&
-                  envEqual(sout.carriedFinal, out.carriedFinal);
-        if (!ok) {
-            SV_PANIC("SELVEC_CHECK_SIM: loop '%s': final outputs "
-                     "diverge between streaming and dense engines",
-                     loop.name.c_str());
-        }
-    }
-
-    static bool
-    envEqual(const LiveEnv &a, const LiveEnv &b)
-    {
-        if (a.size() != b.size())
-            return false;
-        auto ia = a.begin();
-        auto ib = b.begin();
-        for (; ia != a.end(); ++ia, ++ib) {
-            if (ia->first != ib->first || !(ia->second == ib->second))
-                return false;
-        }
-        return true;
-    }
-
     const ExecPlan &plan;
-    const LiveEnv &liveIns;   ///< kept for shadow construction
     const int64_t W;
     const size_t numVals;
 
@@ -1352,34 +928,122 @@ class StreamEngine : public EngineBase
     std::vector<char> snapDefined;
 
     std::vector<const RtVal *> operandPtrs;
-    std::vector<int64_t> readyScratch;
     std::vector<char> selfRead;
     RtVal emptyVal;    ///< stands in for kNoValue operands
     RtVal voidDest;    ///< sink for destination-less results
 
     int64_t instances = 0;
-    std::unique_ptr<DenseEngine> shadow;
 };
 
+/**
+ * The SELVEC_CHECK_SIM oracle: re-run a finished pipelined run on the
+ * reference engine from `before`, the memory image the run started
+ * from, and die unless every observable and the final memory match
+ * and an exit-free run took the closed-form cycle count
+ * (n_body - 1) * II + max_op(time + latency). The re-run records no
+ * stats and no trace spans, so documents do not depend on the mode.
+ */
 void
-addRunStats(const RunOutput &out, const ModuloSchedule *schedule,
-            const StreamEngine *engine)
+checkAgainstReference(const Loop &loop, const Machine &machine,
+                      const LiveEnv &live_ins, int64_t n_body,
+                      int64_t base, const ModuloSchedule &schedule,
+                      const RunOutput &out, const MemoryImage &mem,
+                      MemoryImage &before)
+{
+    RunOutput ref = ReferenceEngine(loop, machine, before, live_ins,
+                                    n_body, base, nullptr)
+                        .run();
+    const char *field = nullptr;
+    if (out.bodyIterations != ref.bodyIterations)
+        field = "body iterations";
+    else if (out.exited != ref.exited || out.exitOrig != ref.exitOrig)
+        field = "exit state";
+    else if (out.dynOps != ref.dynOps)
+        field = "dynamic op counts";
+    else if (!(out.liveOuts == ref.liveOuts))
+        field = "live-outs";
+    else if (!(out.carriedFinal == ref.carriedFinal))
+        field = "carried state";
+    if (field != nullptr) {
+        SV_PANIC("SELVEC_CHECK_SIM: loop '%s': %s diverge between "
+                 "the pipelined run and the reference",
+                 loop.name.c_str(), field);
+    }
+    std::string diff = mem.diff(before);
+    if (!diff.empty()) {
+        SV_PANIC("SELVEC_CHECK_SIM: loop '%s': memory diverges "
+                 "between the pipelined run and the reference: %s",
+                 loop.name.c_str(), diff.c_str());
+    }
+    if (out.exited)
+        return;
+    int64_t span = 0;
+    for (OpId id = 0; id < loop.numOps(); ++id) {
+        span = std::max(span, schedule.time[static_cast<size_t>(id)] +
+                                  machine.latency(loop.op(id).opcode));
+    }
+    int64_t expected = n_body > 0 ? (n_body - 1) * schedule.ii + span
+                                  : 0;
+    if (out.cycles != expected) {
+        SV_PANIC("SELVEC_CHECK_SIM: loop '%s': %lld body iterations "
+                 "took %lld cycles, the closed form gives %lld",
+                 loop.name.c_str(), static_cast<long long>(n_body),
+                 static_cast<long long>(out.cycles),
+                 static_cast<long long>(expected));
+    }
+}
+
+/** The body shared by executeLoop and tryExecuteLoop. A non-null
+ *  `limits` makes the run bounded: a trip unwinds as ExecAbort. A
+ *  clean bounded run records exactly the stats of an unbounded one. */
+RunOutput
+runLoop(const Loop &loop, const Machine &machine, MemoryImage &mem,
+        const LiveEnv &live_ins, int64_t n_body, int64_t base,
+        const ModuloSchedule *schedule, const ExecLimits *limits,
+        const ExecPlan *plan)
 {
     StatsRegistry &stats = globalStats();
-    stats.add(schedule != nullptr ? "sim.pipelinedRuns"
-                                  : "sim.referenceRuns");
+    if (schedule == nullptr) {
+        RunOutput out = ReferenceEngine(loop, machine, mem, live_ins,
+                                        n_body, base, limits)
+                            .run();
+        stats.add("sim.referenceRuns");
+        stats.add("sim.bodyIterations", out.bodyIterations);
+        stats.add("sim.cycles", out.cycles);
+        return out;
+    }
+    ExecPlan local;
+    if (plan == nullptr)
+        local = buildExecPlan(loop, *schedule, machine);
+    else
+        stats.add("sim.plan.reuses");
+    const ExecPlan &p = plan != nullptr ? *plan : local;
+    SV_ASSERT(p.ii == schedule->ii && p.numOps == loop.numOps() &&
+                  p.numValues == loop.numValues(),
+              "plan built for a different (loop, schedule)");
+
+    std::optional<MemoryImage> before;
+    if (checkSimEnabled())
+        before.emplace(mem);
+    StreamEngine engine(loop, machine, mem, live_ins, n_body, base,
+                        limits, p);
+    RunOutput out = engine.run();
+    if (before) {
+        checkAgainstReference(loop, machine, live_ins, n_body, base,
+                              *schedule, out, mem, *before);
+    }
+    stats.add("sim.pipelinedRuns");
     stats.add("sim.bodyIterations", out.bodyIterations);
     stats.add("sim.cycles", out.cycles);
-    if (engine != nullptr) {
-        stats.add("sim.stream.instances", engine->instanceCount());
-        stats.add("sim.stream.window", engine->windowFrames());
-    }
+    stats.add("sim.stream.instances", engine.instanceCount());
+    stats.add("sim.stream.window", engine.windowFrames());
+    return out;
 }
 
 } // anonymous namespace
 
 RunOutput
-executeLoop(const ArrayTable &arrays, const Loop &loop,
+executeLoop(const ArrayTable &, const Loop &loop,
             const Machine &machine, MemoryImage &mem,
             const LiveEnv &live_ins, int64_t n_body, int64_t base,
             const ModuloSchedule *schedule, const ExecPlan *plan)
@@ -1387,28 +1051,12 @@ executeLoop(const ArrayTable &arrays, const Loop &loop,
     SV_ASSERT(n_body >= 0, "negative iteration count");
     TraceSpan span(schedule != nullptr ? "sim.pipelined"
                                        : "sim.reference");
-    if (schedule == nullptr) {
-        DenseEngine engine(arrays, loop, machine, mem, live_ins,
-                           n_body, base, nullptr);
-        RunOutput out = engine.run();
-        addRunStats(out, nullptr, nullptr);
-        return out;
-    }
-    ExecPlan local;
-    if (plan == nullptr)
-        local = buildExecPlan(loop, *schedule, machine);
-    else
-        globalStats().add("sim.plan.reuses");
-    const ExecPlan &p = plan != nullptr ? *plan : local;
-    StreamEngine engine(arrays, loop, machine, mem, live_ins, n_body,
-                        base, schedule, nullptr, p);
-    RunOutput out = engine.run();
-    addRunStats(out, schedule, &engine);
-    return out;
+    return runLoop(loop, machine, mem, live_ins, n_body, base,
+                   schedule, nullptr, plan);
 }
 
 Expected<RunOutput>
-tryExecuteLoop(const ArrayTable &arrays, const Loop &loop,
+tryExecuteLoop(const ArrayTable &, const Loop &loop,
                const Machine &machine, MemoryImage &mem,
                const LiveEnv &live_ins, int64_t n_body, int64_t base,
                const ModuloSchedule *schedule, const ExecLimits &limits,
@@ -1424,54 +1072,8 @@ tryExecuteLoop(const ArrayTable &arrays, const Loop &loop,
     TraceSpan span(schedule != nullptr ? "sim.pipelined"
                                        : "sim.reference");
     try {
-        if (schedule == nullptr) {
-            DenseEngine engine(arrays, loop, machine, mem, live_ins,
-                               n_body, base, nullptr, &limits);
-            RunOutput out = engine.run();
-            // A clean bounded run records exactly the stats of an
-            // unbounded one: boundedness must not perturb documents.
-            addRunStats(out, nullptr, nullptr);
-            return out;
-        }
-        ExecPlan local;
-        if (plan == nullptr)
-            local = buildExecPlan(loop, *schedule, machine);
-        else
-            globalStats().add("sim.plan.reuses");
-        const ExecPlan &p = plan != nullptr ? *plan : local;
-        StreamEngine engine(arrays, loop, machine, mem, live_ins,
-                            n_body, base, schedule, &limits, p);
-        RunOutput out = engine.run();
-        addRunStats(out, schedule, &engine);
-        return out;
-    } catch (const ExecAbort &abort) {
-        globalStats().add("sim.aborts");
-        return abort.status;
-    }
-}
-
-Expected<RunOutput>
-tryExecuteLoopDense(const ArrayTable &arrays, const Loop &loop,
-                    const Machine &machine, MemoryImage &mem,
-                    const LiveEnv &live_ins, int64_t n_body,
-                    int64_t base, const ModuloSchedule *schedule,
-                    const ExecLimits &limits)
-{
-    if (n_body < 0) {
-        return Status::error(
-            ErrorCode::InvalidInput, "sim",
-            strfmt("loop '%s': negative iteration count %lld",
-                   loop.name.c_str(),
-                   static_cast<long long>(n_body)));
-    }
-    TraceSpan span(schedule != nullptr ? "sim.pipelined"
-                                       : "sim.reference");
-    try {
-        DenseEngine engine(arrays, loop, machine, mem, live_ins,
-                           n_body, base, schedule, &limits);
-        RunOutput out = engine.run();
-        addRunStats(out, schedule, nullptr);
-        return out;
+        return runLoop(loop, machine, mem, live_ins, n_body, base,
+                       schedule, &limits, plan);
     } catch (const ExecAbort &abort) {
         globalStats().add("sim.aborts");
         return abort.status;

@@ -18,14 +18,16 @@
  * (sim/execplan.hh) replays a per-II-slot issue template over a
  * rotating ring of dense register frames, so time is O(n_body * ops)
  * with no event list or sort and memory is O(II * ops +
- * windowFrames * values) regardless of trip count. The previous
- * event-list engine is retained as the dense reference
- * (tryExecuteLoopDense) and as the lockstep cross-check behind
- * SELVEC_CHECK_SIM (support/checkmode.hh): with the mode on, every
- * executed instance's operands, readiness, suppression decision and
- * result — and the run's final observables — are compared against
- * the dense engine and the process dies on the first divergence.
- * Both engines produce bit-identical observable outputs.
+ * windowFrames * values) regardless of trip count.
+ *
+ * SELVEC_CHECK_SIM (support/checkmode.hh) checks every pipelined run
+ * against the reference: the memory image is copied before the run,
+ * the same loop is re-run sequentially from the copy afterwards, and
+ * the process dies unless body iterations, exit state, dynOps,
+ * live-outs, carried state and memory all match and an exit-free
+ * run's cycles equal the closed form (n_body - 1) * II +
+ * max_op(time + latency). The re-run records no stats and no trace
+ * spans.
  *
  * Live values enter and leave by name so the driver can chain a main
  * loop into its cleanup loop and across distributed loop sequences.
@@ -149,24 +151,6 @@ tryExecuteLoop(const ArrayTable &arrays, const Loop &loop,
                const ModuloSchedule *schedule = nullptr,
                const ExecLimits &limits = {},
                const ExecPlan *plan = nullptr);
-
-/**
- * tryExecuteLoop forced onto the dense reference engine: the
- * event-list executor the streaming engine replaced, kept as the
- * differential-testing oracle (bench_simspeed, selvec_fuzz --simdiff,
- * the `simspeed` test label) and the SELVEC_CHECK_SIM shadow.
- * Observable outputs are bit-identical to the streaming engine's;
- * time and memory are O(n_body * ops). Oversized event lists (huge
- * trip counts) come back as a structured InvalidInput instead of an
- * allocation failure.
- */
-Expected<RunOutput>
-tryExecuteLoopDense(const ArrayTable &arrays, const Loop &loop,
-                    const Machine &machine, MemoryImage &mem,
-                    const LiveEnv &live_ins, int64_t n_body,
-                    int64_t base = 0,
-                    const ModuloSchedule *schedule = nullptr,
-                    const ExecLimits &limits = {});
 
 } // namespace selvec
 

@@ -8,8 +8,8 @@
  * Two entry points share one implementation: evalOpInto() writes the
  * result into a caller-owned RtVal in place (the streaming executor's
  * allocation-free path — lane vectors keep their capacity across
- * reuses), and evalOp() is the by-value convenience wrapper the dense
- * reference path uses.
+ * reuses), and evalOp() is the by-value convenience wrapper the
+ * reference engine uses.
  */
 
 #ifndef SELVEC_SIM_SEMANTICS_HH

@@ -11,11 +11,14 @@
  * and the `hotpath` test label run to prove the fast paths are exact.
  *
  * SELVEC_CHECK_SIM is the same contract for the simulator: with it
- * set, the streaming pipelined executor cross-checks every executed
- * op instance — operand values, readiness, store-suppression
- * decisions, exit state, and the final observable outputs — against
- * the dense reference engine run in lockstep, and dies on the first
- * divergence (the mode the `simspeed` CI lane runs under).
+ * set, every pipelined run is re-run on the sequential reference
+ * engine from a copy of the memory it started from, and the process
+ * dies unless body iterations, exit state, dynOps, live-outs, carried
+ * state and memory all match and an exit-free run took the
+ * closed-form cycle count (sim/executor.hh). The re-run records no
+ * stats and no trace spans, so documents do not depend on the mode.
+ * The sim-speed CI lane runs the full suite under it; selvec_fuzz
+ * turns it on for every sweep.
  *
  * Each flag is resolved from the environment on first query and
  * cached; tests flip them deterministically through
@@ -35,8 +38,8 @@ bool checkIncrementalEnabled();
 /** Force the mode on or off, overriding the environment (tests). */
 void setCheckIncremental(bool enabled);
 
-/** True when the streaming executor cross-checks every instance
- *  against the dense reference. Cheap after the first call. */
+/** True when every pipelined run is checked against the reference
+ *  engine. Cheap after the first call. */
 bool checkSimEnabled();
 
 /** Force simulator cross-checking on or off, overriding the

@@ -679,5 +679,51 @@ TEST(Repro, CleanConfigurationDoesNotReproduce)
     EXPECT_FALSE(outcome.reproduced);
 }
 
+/** Expect `program` to break exactly the DESIGN.md invariant `section`
+ *  as a replay-stage VerifyFailed (the status selvec_fuzz counts as a
+ *  finding). */
+void
+expectBroken(const CompiledProgram &program, const char *section)
+{
+    Status status = checkCompiledInvariants(program);
+    EXPECT_EQ(status.code(), ErrorCode::VerifyFailed) << section;
+    EXPECT_EQ(status.stage(), "replay") << section;
+    EXPECT_NE(status.message().find(section), std::string::npos)
+        << status.str();
+}
+
+TEST(Repro, CompiledInvariantCheckFlagsEachViolation)
+{
+    CompiledProgram program;
+    program.technique = Technique::Selective;
+    program.loops.emplace_back();
+    program.loops[0].main.name = "hand";
+    program.loops[0].mainSchedule.ii = 4;
+    program.loops[0].mainResMii = 4;
+    program.loops[0].mainRecMii = 3;
+    program.partition.bestCost = 4;
+    EXPECT_TRUE(checkCompiledInvariants(program).ok());
+
+    CompiledProgram res_above_ii = program;
+    res_above_ii.loops[0].mainResMii = 5;
+    res_above_ii.partition.bestCost = 5;
+    expectBroken(res_above_ii, "§6.4");
+
+    CompiledProgram rec_above_ii = program;
+    rec_above_ii.loops[0].mainRecMii = 5;
+    expectBroken(rec_above_ii, "§6.4");
+
+    CompiledProgram incoherent = program;
+    incoherent.partition.bestCost = 3;
+    expectBroken(incoherent, "§6.3");
+
+    // §6.3 binds KL's Selective partitions only.
+    incoherent.partition.exactUsed = true;
+    EXPECT_TRUE(checkCompiledInvariants(incoherent).ok());
+    incoherent.partition.exactUsed = false;
+    incoherent.technique = Technique::Full;
+    EXPECT_TRUE(checkCompiledInvariants(incoherent).ok());
+}
+
 } // anonymous namespace
 } // namespace selvec

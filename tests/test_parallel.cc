@@ -503,22 +503,6 @@ TEST_F(CompileCacheTest, ScheduleMemoStaysBoundedAndExact)
     EXPECT_LE(scheduleCache().size(), kCompileCacheCapacity);
 }
 
-TEST_F(CompileCacheTest, BypassScopeDisablesCaching)
-{
-    EXPECT_TRUE(compileCacheActive());
-    {
-        CacheBypassScope bypass;
-        EXPECT_FALSE(compileCacheActive());
-        CacheBypassScope nested;
-        EXPECT_FALSE(compileCacheActive());
-    }
-    EXPECT_TRUE(compileCacheActive());
-
-    compileCacheSetEnabled(false);
-    EXPECT_FALSE(compileCacheActive());
-    compileCacheSetEnabled(true);
-}
-
 // ---------------------------------------------------------------------
 // End-to-end determinism.
 
@@ -579,29 +563,6 @@ TEST_F(CompileCacheTest, SuiteDocumentsAreJobCountInvariant)
     std::string uncached = runSuiteDocument(suite, machine, 8);
     compileCacheSetEnabled(true);
     EXPECT_EQ(serial, uncached);
-}
-
-TEST_F(CompileCacheTest, ResilientCompileReportIsJobCountInvariant)
-{
-    Module m = parseLirOrDie(kCacheSaxpy);
-    Machine machine = paperMachine();
-    for (Technique t : {Technique::Selective, Technique::ModuloOnly}) {
-        ArrayTable serial_arrays = m.arrays;
-        ResilientCompile serial = compileLoopResilient(
-            m.loops[0], serial_arrays, machine, t, {}, 1);
-        ArrayTable parallel_arrays = m.arrays;
-        ResilientCompile parallel = compileLoopResilient(
-            m.loops[0], parallel_arrays, machine, t, {}, 4);
-
-        ASSERT_TRUE(serial.ok());
-        ASSERT_TRUE(parallel.ok());
-        EXPECT_EQ(serial.report.str(), parallel.report.str());
-        EXPECT_EQ(jsonOfCompiledProgram(serial.program).dump(),
-                  jsonOfCompiledProgram(parallel.program).dump());
-        EXPECT_EQ(jsonOfCompileReport(serial.report).dump(),
-                  jsonOfCompileReport(parallel.report).dump());
-        EXPECT_EQ(serial_arrays.size(), parallel_arrays.size());
-    }
 }
 
 } // anonymous namespace

@@ -4,17 +4,18 @@
  * DESIGN.md §12):
  *
  *  - randomized property: generated loops run pipelined on the
- *    streaming engine and the dense event-list reference produce
- *    identical observables (outputs, dynOps, exit state) and
- *    identical memory, across trip counts from degenerate to many
- *    times the rolling window;
- *  - early-exit store suppression agrees between the engines at
- *    every exit position, including each rolling-window boundary;
+ *    streaming engine match the reference engine run on the same
+ *    lowered loop (outputs, dynOps, exit state and memory), and an
+ *    exit-free run takes the closed-form cycle count, across trip
+ *    counts from degenerate to many times the rolling window; every
+ *    ring-frame operand of the plan is ready exactly when its
+ *    producer completes;
+ *  - early-exit store suppression matches the reference at every
+ *    exit position, including each rolling-window boundary;
  *  - carried-value chains (multi-hop and self-referential/cyclic)
  *    stay exact across ring wraparound;
- *  - the cycle watchdog trips with the identical structured status
- *    on both engines, for genuine trips and for the "sim.watchdog"
- *    fault site;
+ *  - the SELVEC_CHECK_SIM reference check passes a legal schedule and
+ *    kills a run whose schedule breaks a memory dependence;
  *  - steady-state streaming execution performs zero heap
  *    allocations: a 2048-iteration run allocates exactly as much as
  *    a 512-iteration run.
@@ -23,6 +24,7 @@
  * which is why these tests live apart from selvec_tests.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -38,7 +40,6 @@
 #include "sim/execplan.hh"
 #include "sim/executor.hh"
 #include "support/checkmode.hh"
-#include "support/faultinject.hh"
 #include "support/random.hh"
 #include "workloads/generator.hh"
 
@@ -93,50 +94,77 @@ namespace selvec
 namespace
 {
 
-/** Every observable of a run, compared field by field. */
-void
-expectSameOutput(const RunOutput &stream, const RunOutput &dense)
+/** Completion of an exit-free pipelined run: the last body issues
+ *  (n_body - 1) * II cycles after the first and drains in
+ *  max_op(time + latency). */
+int64_t
+closedFormCycles(const Loop &loop, const ModuloSchedule &schedule,
+                 const Machine &machine, int64_t n_body)
 {
-    EXPECT_EQ(stream.bodyIterations, dense.bodyIterations);
-    EXPECT_EQ(stream.cycles, dense.cycles);
-    EXPECT_EQ(stream.exited, dense.exited);
-    EXPECT_EQ(stream.exitOrig, dense.exitOrig);
-    EXPECT_EQ(stream.dynOps, dense.dynOps);
-    EXPECT_EQ(stream.liveOuts, dense.liveOuts);
-    EXPECT_EQ(stream.carriedFinal, dense.carriedFinal);
+    if (n_body == 0)
+        return 0;
+    int64_t span = 0;
+    for (OpId id = 0; id < loop.numOps(); ++id) {
+        span = std::max(span, schedule.time[static_cast<size_t>(id)] +
+                                  machine.latency(loop.op(id).opcode));
+    }
+    return (n_body - 1) * schedule.ii + span;
 }
 
-/** Run `loop` pipelined on both engines from identical memory and
- *  assert every observable and the final memory identical. Returns
- *  the streaming output for further assertions. */
+/** Run `loop` pipelined on the streaming engine and sequentially on
+ *  the reference engine, each from a copy of `initial`, and assert
+ *  every observable and the final memory identical and an exit-free
+ *  run's cycles equal to the closed form. Returns the streaming
+ *  output for further assertions. */
 RunOutput
-runBothEngines(const ArrayTable &arrays, const Loop &loop,
-               const ModuloSchedule &schedule, const Machine &machine,
-               const LiveEnv &live_ins, int64_t n_body,
-               uint64_t pattern)
+runAgainstReference(const ArrayTable &arrays, const Loop &loop,
+                    const ModuloSchedule &schedule,
+                    const Machine &machine, const LiveEnv &live_ins,
+                    int64_t n_body, const MemoryImage &initial,
+                    const ExecPlan *plan = nullptr)
 {
-    MemoryImage stream_mem(arrays);
-    stream_mem.fillPattern(pattern);
-    MemoryImage dense_mem(arrays);
-    dense_mem.fillPattern(pattern);
-
+    MemoryImage stream_mem = initial;
+    MemoryImage ref_mem = initial;
     Expected<RunOutput> stream =
         tryExecuteLoop(arrays, loop, machine, stream_mem, live_ins,
-                       n_body, 0, &schedule);
-    Expected<RunOutput> dense =
-        tryExecuteLoopDense(arrays, loop, machine, dense_mem,
-                            live_ins, n_body, 0, &schedule);
+                       n_body, 0, &schedule, {}, plan);
+    Expected<RunOutput> ref = tryExecuteLoop(
+        arrays, loop, machine, ref_mem, live_ins, n_body);
     EXPECT_TRUE(stream.ok()) << stream.status().str();
-    EXPECT_TRUE(dense.ok()) << dense.status().str();
-    if (!stream.ok() || !dense.ok())
+    EXPECT_TRUE(ref.ok()) << ref.status().str();
+    if (!stream.ok() || !ref.ok())
         return RunOutput{};
-    expectSameOutput(stream.value(), dense.value());
-    EXPECT_EQ(stream_mem.diff(dense_mem), "");
+    const RunOutput &out = stream.value();
+    EXPECT_EQ(out.bodyIterations, ref.value().bodyIterations);
+    EXPECT_EQ(out.exited, ref.value().exited);
+    EXPECT_EQ(out.exitOrig, ref.value().exitOrig);
+    EXPECT_EQ(out.dynOps, ref.value().dynOps);
+    EXPECT_EQ(out.liveOuts, ref.value().liveOuts);
+    EXPECT_EQ(out.carriedFinal, ref.value().carriedFinal);
+    EXPECT_EQ(stream_mem.diff(ref_mem), "");
+    if (!out.exited) {
+        EXPECT_EQ(out.cycles,
+                  closedFormCycles(loop, schedule, machine, n_body));
+    }
     return stream.takeValue();
 }
 
+/** runAgainstReference from a pattern-filled image. */
+RunOutput
+runAgainstReference(const ArrayTable &arrays, const Loop &loop,
+                    const ModuloSchedule &schedule,
+                    const Machine &machine, const LiveEnv &live_ins,
+                    int64_t n_body, uint64_t pattern,
+                    const ExecPlan *plan = nullptr)
+{
+    MemoryImage initial(arrays);
+    initial.fillPattern(pattern);
+    return runAgainstReference(arrays, loop, schedule, machine,
+                               live_ins, n_body, initial, plan);
+}
+
 // ---------------------------------------------------------------------
-// Randomized property: streaming == dense over generated loops.
+// Randomized property: streaming == reference over generated loops.
 
 TEST(SimDiff, GeneratedLoopsMatchDenseAcrossTripCounts)
 {
@@ -153,6 +181,25 @@ TEST(SimDiff, GeneratedLoopsMatchDenseAcrossTripCounts)
             continue;
         ++compiled;
         const CompiledLoop &cl = program.value().loops.front();
+        ExecPlan plan =
+            buildExecPlan(cl.main, cl.mainSchedule, machine);
+        // The readiness the streaming engine asserts at every ring
+        // read: a Frame operand completes when the last op defining
+        // its terminal value does.
+        for (const PlanOperand &po : plan.operands) {
+            if (po.kind != PlanOperand::Kind::Frame)
+                continue;
+            OpId def = kNoOp;
+            for (OpId id = 0; id < cl.main.numOps(); ++id) {
+                if (cl.main.op(id).dest == po.value)
+                    def = id;
+            }
+            ASSERT_NE(def, kNoOp) << "seed " << seed;
+            EXPECT_EQ(po.readyBase,
+                      cl.mainSchedule.time[static_cast<size_t>(def)] +
+                          machine.latency(cl.main.op(def).opcode))
+                << "seed " << seed;
+        }
         // Degenerate trips, trips inside one window, and trips many
         // windows past wraparound.
         for (int64_t n_body : {int64_t{0}, int64_t{1}, int64_t{2},
@@ -160,8 +207,9 @@ TEST(SimDiff, GeneratedLoopsMatchDenseAcrossTripCounts)
                                options.maxTrip / cl.coverage}) {
             SCOPED_TRACE(testing::Message()
                          << "seed " << seed << " n_body " << n_body);
-            runBothEngines(arrays, cl.main, cl.mainSchedule, machine,
-                           gen.liveIns, n_body, seed);
+            runAgainstReference(arrays, cl.main, cl.mainSchedule,
+                                machine, gen.liveIns, n_body, seed,
+                                &plan);
         }
     }
     // The generator and ModuloOnly are reliable enough that a
@@ -170,7 +218,8 @@ TEST(SimDiff, GeneratedLoopsMatchDenseAcrossTripCounts)
 }
 
 // ---------------------------------------------------------------------
-// Early exit: suppression must agree at every window boundary.
+// Early exit: suppression must match the reference at every window
+// boundary.
 
 const char *kEarlyExitStores = R"(
 array A f64 64
@@ -202,29 +251,18 @@ TEST(SimDiff, EarlyExitSuppressionAtEveryWindowBoundary)
     env["lim"] = RtVal::scalarF(5.0);
     for (int64_t exit_at = 0; exit_at < 48; ++exit_at) {
         SCOPED_TRACE(testing::Message() << "exit at " << exit_at);
-        MemoryImage stream_mem(m.arrays);
-        MemoryImage dense_mem(m.arrays);
-        for (MemoryImage *mem : {&stream_mem, &dense_mem})
-            for (int i = 0; i < 64; ++i)
-                mem->storeF(0, i, i == exit_at ? 9.0 : 1.0);
-
-        Expected<RunOutput> stream =
-            tryExecuteLoop(m.arrays, lowered, machine, stream_mem,
-                           env, 64, 0, &sr.schedule, {}, &plan);
-        Expected<RunOutput> dense =
-            tryExecuteLoopDense(m.arrays, lowered, machine, dense_mem,
-                                env, 64, 0, &sr.schedule);
-        ASSERT_TRUE(stream.ok()) << stream.status().str();
-        ASSERT_TRUE(dense.ok()) << dense.status().str();
-        expectSameOutput(stream.value(), dense.value());
-        EXPECT_EQ(stream_mem.diff(dense_mem), "");
+        MemoryImage initial(m.arrays);
+        for (int i = 0; i < 64; ++i)
+            initial.storeF(0, i, i == exit_at ? 9.0 : 1.0);
+        RunOutput out =
+            runAgainstReference(m.arrays, lowered, sr.schedule,
+                                machine, env, 64, initial, &plan);
 
         // The sequential semantics, asserted absolutely: stores
         // 0..exit_at committed, everything later suppressed.
-        ASSERT_TRUE(stream.value().exited);
-        EXPECT_EQ(stream.value().exitOrig, exit_at);
-        EXPECT_EQ(stream.value()
-                      .dynOps[static_cast<size_t>(OpClass::MemStore)],
+        ASSERT_TRUE(out.exited);
+        EXPECT_EQ(out.exitOrig, exit_at);
+        EXPECT_EQ(out.dynOps[static_cast<size_t>(OpClass::MemStore)],
                   exit_at + 1);
     }
 }
@@ -260,8 +298,8 @@ TEST(SimDiff, MultiHopCarriedChainAcrossRingWraparound)
     env["q0"] = RtVal::scalarF(0.0);
     // Far past any plausible window: the q -> p hop must read frames
     // that wrapped many times. Fibonacci in doubles is exact to F_78.
-    RunOutput out = runBothEngines(m.arrays, lowered, sr.schedule,
-                                   machine, env, 70, 1);
+    RunOutput out = runAgainstReference(m.arrays, lowered, sr.schedule,
+                                        machine, env, 70, 1);
     double p = 1.0, q = 0.0, x = 0.0;
     for (int i = 0; i < 70; ++i) {
         x = p + q;
@@ -301,8 +339,8 @@ TEST(SimDiff, SelfReferentialCarriedValueIsExact)
     LiveEnv env;
     env["c0"] = RtVal::scalarF(3.0);
     env["s0"] = RtVal::scalarF(0.0);
-    RunOutput out = runBothEngines(m.arrays, lowered, sr.schedule,
-                                   machine, env, 200, 5);
+    RunOutput out = runAgainstReference(m.arrays, lowered, sr.schedule,
+                                        machine, env, 200, 5);
     // c never changes: the run is sum(A[i]) * 3.
     MemoryImage probe(m.arrays);
     probe.fillPattern(5);
@@ -314,9 +352,63 @@ TEST(SimDiff, SelfReferentialCarriedValueIsExact)
 }
 
 // ---------------------------------------------------------------------
-// Watchdog parity: both engines trip with the identical status.
+// The SELVEC_CHECK_SIM reference check: it must fire on a schedule the
+// streaming engine runs without complaint. Lowering II to 1 keeps
+// every register dependence (kernel times are unchanged) but lets
+// iteration j + 1 load A[j + 1] before iteration j stores it.
 
-const char *kWatchdogLoop = R"(
+const char *kShiftedStore = R"(
+array A f64 64
+loop shift {
+    livein c f64
+    body {
+        x = load A[i]
+        y = fadd x c
+        store A[i + 1] = y
+    }
+}
+)";
+
+TEST(SimCheckDeathTest, BrokenMemoryDependenceAborts)
+{
+    Module m = parseLirOrDie(kShiftedStore);
+    Machine machine = paperMachine();
+    Loop lowered = lowerForScheduling(m.loops[0], machine);
+    DepGraph graph(m.arrays, lowered, machine);
+    ScheduleResult sr = moduloSchedule(lowered, graph, machine);
+    ASSERT_TRUE(sr.ok);
+    // The store -> load recurrence is what holds II above 1.
+    ASSERT_GT(sr.schedule.ii, 1);
+
+    LiveEnv env;
+    env["c"] = RtVal::scalarF(0.5);
+    auto run = [&](const ModuloSchedule &schedule) {
+        MemoryImage mem(m.arrays);
+        mem.fillPattern(1);
+        return executeLoop(m.arrays, lowered, machine, mem, env, 32, 0,
+                           &schedule);
+    };
+
+    bool prior = checkSimEnabled();
+    setCheckSim(true);
+    EXPECT_EQ(run(sr.schedule).bodyIterations, 32);
+    setCheckSim(prior);
+
+    ModuloSchedule broken = sr.schedule;
+    broken.ii = 1;
+    EXPECT_DEATH(
+        {
+            setCheckSim(true);
+            run(broken);
+        },
+        "SELVEC_CHECK_SIM: loop '.*': memory diverges");
+}
+
+// ---------------------------------------------------------------------
+// The memory contract: steady state allocates nothing, so a run's
+// allocation count is independent of its trip count.
+
+const char *kDotLoop = R"(
 array X f64 4096
 loop dot {
     livein s0 f64
@@ -329,78 +421,9 @@ loop dot {
 }
 )";
 
-TEST(SimWatchdog, GenuineTripIsIdenticalAcrossEngines)
-{
-    Module m = parseLirOrDie(kWatchdogLoop);
-    Machine machine = paperMachine();
-    Loop lowered = lowerForScheduling(m.loops[0], machine);
-    DepGraph graph(m.arrays, lowered, machine);
-    ScheduleResult sr = moduloSchedule(lowered, graph, machine);
-    ASSERT_TRUE(sr.ok);
-
-    LiveEnv env;
-    env["s0"] = RtVal::scalarF(0.0);
-    ExecLimits limits;
-    limits.maxCycles = 1;   // no pipeline finishes in one cycle
-
-    MemoryImage stream_mem(m.arrays), dense_mem(m.arrays);
-    stream_mem.fillPattern(1);
-    dense_mem.fillPattern(1);
-    Expected<RunOutput> stream =
-        tryExecuteLoop(m.arrays, lowered, machine, stream_mem, env,
-                       64, 0, &sr.schedule, limits);
-    Expected<RunOutput> dense =
-        tryExecuteLoopDense(m.arrays, lowered, machine, dense_mem,
-                            env, 64, 0, &sr.schedule, limits);
-    ASSERT_FALSE(stream.ok());
-    ASSERT_FALSE(dense.ok());
-    EXPECT_EQ(stream.status().code(), ErrorCode::WatchdogTripped);
-    // Byte-identical structured status: same code, stage and message
-    // (the fault-site parity the repro/replay pipeline depends on).
-    EXPECT_EQ(stream.status().str(), dense.status().str());
-}
-
-TEST(SimWatchdog, FaultSiteTripsIdenticallyAcrossEngines)
-{
-    Module m = parseLirOrDie(kWatchdogLoop);
-    Machine machine = paperMachine();
-    Loop lowered = lowerForScheduling(m.loops[0], machine);
-    DepGraph graph(m.arrays, lowered, machine);
-    ScheduleResult sr = moduloSchedule(lowered, graph, machine);
-    ASSERT_TRUE(sr.ok);
-
-    LiveEnv env;
-    env["s0"] = RtVal::scalarF(0.0);
-    ExecLimits limits;
-    limits.watchdogFactor = 16;
-
-    auto tripped = [&](bool dense_engine) {
-        FaultPlan plan = parseFaultPlan("sim.watchdog:*").value();
-        ScopedFaultPlan armed(plan);
-        MemoryImage mem(m.arrays);
-        mem.fillPattern(1);
-        return dense_engine
-                   ? tryExecuteLoopDense(m.arrays, lowered, machine,
-                                         mem, env, 64, 0,
-                                         &sr.schedule, limits)
-                         .status()
-                   : tryExecuteLoop(m.arrays, lowered, machine, mem,
-                                    env, 64, 0, &sr.schedule, limits)
-                         .status();
-    };
-    Status stream = tripped(false);
-    Status dense = tripped(true);
-    EXPECT_EQ(stream.code(), ErrorCode::WatchdogTripped);
-    EXPECT_EQ(stream.str(), dense.str());
-}
-
-// ---------------------------------------------------------------------
-// The memory contract: steady state allocates nothing, so a run's
-// allocation count is independent of its trip count.
-
 TEST(SimAllocation, SteadyStateIsAllocationFree)
 {
-    Module m = parseLirOrDie(kWatchdogLoop);
+    Module m = parseLirOrDie(kDotLoop);
     Machine machine = paperMachine();
     Loop lowered = lowerForScheduling(m.loops[0], machine);
     DepGraph graph(m.arrays, lowered, machine);
@@ -411,7 +434,7 @@ TEST(SimAllocation, SteadyStateIsAllocationFree)
     LiveEnv env;
     env["s0"] = RtVal::scalarF(0.0);
 
-    // The lockstep shadow allocates per instance by design; it must
+    // The reference check copies memory and re-runs the loop; it must
     // be off for the count to measure the streaming engine alone.
     bool prior = checkSimEnabled();
     setCheckSim(false);

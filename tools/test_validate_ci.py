@@ -154,7 +154,7 @@ def main():
                                 "BENCH_other.json"),
         "BENCH_simspeed.json")
 
-    def drop_sim_shadow(doc):
+    def drop_sim_check(doc):
         hits = 0
         for step in doc["jobs"]["sim-speed"]["steps"]:
             if "SELVEC_CHECK_SIM" in str(step.get("env", "")):
@@ -162,8 +162,8 @@ def main():
                 hits += 1
         assert hits > 0, "no sim-speed step carries SELVEC_CHECK_SIM"
     check_rejects(
-        "sim-speed without the lockstep shadow run is rejected",
-        drop_sim_shadow, "SELVEC_CHECK_SIM")
+        "sim-speed without the reference-check suite run is rejected",
+        drop_sim_check, "SELVEC_CHECK_SIM")
 
     if failures:
         sys.exit(f"{len(failures)} check(s) failed")

@@ -17,10 +17,10 @@ optgap
 (the optgap ctest label — KL-vs-exact differentials plus the strict
 CLI-parsing regressions — then bench_optgap artifact upload and the
 exact-counter gate against BENCH_optgap.json) and sim-speed (the
-simspeed ctest label — streaming-vs-dense differentials plus the
-simdiff fuzz sweep — then the full suite under the SELVEC_CHECK_SIM
-lockstep shadow, bench_simspeed artifact upload and the
-exact-counter gate against BENCH_simspeed.json) — so a refactor of
+simspeed ctest label — streaming runs against the reference engine
+with closed-form cycles — then the full suite under the
+SELVEC_CHECK_SIM reference check, bench_simspeed artifact upload and
+the exact-counter gate against BENCH_simspeed.json) — so a refactor of
 the workflow cannot silently drop one.
 
 Beyond the lanes it pins the operational contract: every job must
@@ -194,13 +194,14 @@ def main():
         fail("sim-speed must upload the simspeed JSON artifact")
     if "--counters" not in sim or "BENCH_simspeed.json" not in sim:
         fail("sim-speed must gate counters against BENCH_simspeed.json")
-    # The full-suite shadow run is the lane's whole point: every
-    # streaming op instance cross-checked against the dense engine.
+    # The full-suite run under the reference check is the lane's whole
+    # point: every pipelined run re-run on the reference engine.
     sim_env = "\n".join(
         str(step.get("env", ""))
         for step in jobs["sim-speed"].get("steps", []))
     if "SELVEC_CHECK_SIM" not in sim_env:
-        fail("sim-speed must run the suite under SELVEC_CHECK_SIM")
+        fail("sim-speed must run the suite under the SELVEC_CHECK_SIM "
+             "reference check")
 
     print(f"ok: {os.path.relpath(path)} has all nine contract lanes")
 
