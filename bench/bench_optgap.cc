@@ -154,8 +154,8 @@ main(int argc, char **argv)
             partitionBothWays(loop, pr.module.arrays, machine, base);
 
         // Both strategies compiled end to end: the in-pipeline checker
-        // validates each schedule, and the executions below verify
-        // them against the reference interpreter bit for bit.
+        // validates each schedule, and the exact program's run below is
+        // checked against the reference interpreter bit for bit.
         ArrayTable arrays_kl = pr.module.arrays;
         Expected<CompiledProgram> kl_prog = compileWith(
             loop, arrays_kl, machine, cli, PartitionStrategy::Kl);
@@ -174,19 +174,14 @@ main(int argc, char **argv)
             kl_ii = kl_prog.value().iiPerIteration();
             exact_ii = ex_prog.value().iiPerIteration();
 
-            LiveEnv env = defaultLiveIns(loop);
-            int64_t n = 64;
             MemoryImage mem(arrays_ex);
             mem.fillPattern(17);
-            runCompiled(ex_prog.value(), arrays_ex, machine, mem,
-                        env, n);
-            MemoryImage ref(arrays_ex);
-            ref.fillPattern(17);
-            runReference(loop, arrays_ex, machine, ref, env, n);
-            std::string diff = mem.diff(ref);
-            if (!diff.empty()) {
-                std::fprintf(stderr, "%s: exact program DIVERGED: "
-                             "%s\n", file.c_str(), diff.c_str());
+            Expected<ExecResult> run = tryRunVerified(
+                ex_prog.value(), loop, arrays_ex, machine, mem,
+                defaultLiveIns(loop), 64);
+            if (!run.ok()) {
+                std::fprintf(stderr, "%s: exact program: %s\n",
+                             file.c_str(), run.status().str().c_str());
                 failed = true;
             }
         }

@@ -100,7 +100,7 @@ classify(const Status &status)
     if (status.code() == ErrorCode::Internal ||
         status.code() == ErrorCode::InvalidInput ||
         (status.code() == ErrorCode::VerifyFailed &&
-         status.stage() == "replay"))
+         (status.stage() == "verify" || status.stage() == "replay")))
         return OutcomeClass::Finding;
     return OutcomeClass::Contained;
 }

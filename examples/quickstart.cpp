@@ -7,10 +7,12 @@
  *   1. describe the loop in LIR (or build it with LoopBuilder);
  *   2. pick a machine;
  *   3. compileLoop() with a technique;
- *   4. runCompiled() on a MemoryImage and read cycles and live-outs.
+ *   4. tryRunVerified() on a MemoryImage: run the program, check it
+ *      against the reference interpreter, read cycles and live-outs.
  */
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "driver/driver.hh"
 #include "lir/lir.hh"
@@ -67,24 +69,24 @@ loop dot {
                              selective.loops[0].mainSchedule)
                     .c_str());
 
-    // 4. Execute both over 4096 iterations and compare.
+    // 4. Execute both over 4096 iterations, each checked bit for bit
+    //    (memory and live-outs) against the reference interpreter.
     LiveEnv env;
     env["s0"] = RtVal::scalarF(0.0);
-
-    MemoryImage base_mem(arrays);
-    base_mem.fillPattern(1);
-    ExecResult base = runCompiled(baseline, arrays, machine, base_mem,
-                                  env, 4096);
-
-    MemoryImage sel_mem(arrays);
-    sel_mem.fillPattern(1);
-    ExecResult sel = runCompiled(selective, arrays, machine, sel_mem,
-                                 env, 4096);
-
-    MemoryImage ref_mem(arrays);
-    ref_mem.fillPattern(1);
-    ExecResult ref =
-        runReference(dot, arrays, machine, ref_mem, env, 4096);
+    auto run = [&](const CompiledProgram &program) {
+        MemoryImage mem(arrays);
+        mem.fillPattern(1);
+        Expected<ExecResult> r = tryRunVerified(program, dot, arrays,
+                                                machine, mem, env, 4096);
+        if (!r.ok()) {
+            std::printf("%s: %s\n", techniqueName(program.technique),
+                        r.status().str().c_str());
+            std::exit(1);
+        }
+        return r.takeValue();
+    };
+    ExecResult base = run(baseline);
+    ExecResult sel = run(selective);
 
     std::printf("baseline cycles:  %lld\n",
                 static_cast<long long>(base.cycles));
@@ -92,9 +94,7 @@ loop dot {
                 static_cast<long long>(sel.cycles),
                 static_cast<double>(base.cycles) /
                     static_cast<double>(sel.cycles));
-    std::printf("dot product: selective %s reference (%s)\n",
-                sel.env.at("s1") == ref.env.at("s1") ? "matches"
-                                                     : "DIVERGES from",
+    std::printf("dot product: selective matches reference (%s)\n",
                 sel.env.at("s1").str().c_str());
     return 0;
 }

@@ -485,85 +485,6 @@ planCompiled(const CompiledProgram &program, const Machine &machine)
     return plans;
 }
 
-ExecResult
-runCompiled(const CompiledProgram &program, const ArrayTable &arrays,
-            const Machine &machine, MemoryImage &mem,
-            const LiveEnv &live_ins, int64_t n,
-            const ProgramPlans *plans)
-{
-    SV_ASSERT(plans == nullptr ||
-                  plans->loops.size() == program.loops.size(),
-              "plans built for a different program");
-    ExecResult result;
-    result.env = live_ins;
-
-    for (size_t li = 0; li < program.loops.size(); ++li) {
-        const CompiledLoop &cl = program.loops[li];
-        int64_t cover = cl.coverage;
-        int64_t j_main = n / cover;
-        int64_t remainder = n - j_main * cover;
-
-        result.cycles += machine.invocationOverhead;
-
-        LiveEnv carried_bridge;
-        if (j_main > 0) {
-            RunOutput out = executeLoop(
-                arrays, cl.main, machine, mem, result.env, j_main, 0,
-                &cl.mainSchedule,
-                plans != nullptr ? &plans->loops[li].main : nullptr);
-            result.cycles += out.cycles;
-            for (auto &[name, v] : out.liveOuts)
-                result.env[name] = v;
-            carried_bridge = std::move(out.carriedFinal);
-            if (out.exited) {
-                // The loop terminated itself: the executor already
-                // selected the exiting replica's observable state.
-                continue;
-            }
-        }
-
-        if (remainder > 0) {
-            LiveEnv cleanup_env = result.env;
-            // The cleanup loop resumes every carried chain from the
-            // main loop's continuation state.
-            if (j_main > 0) {
-                for (const CarriedValue &cv : cl.cleanup.carried) {
-                    const std::string &in_name =
-                        cl.cleanup.valueInfo(cv.in).name;
-                    auto it = carried_bridge.find(in_name);
-                    if (it != carried_bridge.end()) {
-                        cleanup_env[cl.cleanup.valueInfo(cv.init)
-                                        .name] = it->second;
-                    }
-                }
-            }
-            RunOutput out = executeLoop(
-                arrays, cl.cleanup, machine, mem, cleanup_env,
-                remainder, j_main * cover, &cl.cleanupSchedule,
-                plans != nullptr ? &plans->loops[li].cleanup
-                                 : nullptr);
-            result.cycles += out.cycles;
-            for (auto &[name, v] : out.liveOuts)
-                result.env[name] = v;
-        }
-    }
-    return result;
-}
-
-ExecResult
-runReference(const Loop &loop, const ArrayTable &arrays,
-             const Machine &machine, MemoryImage &mem,
-             const LiveEnv &live_ins, int64_t n)
-{
-    RunOutput out =
-        executeLoop(arrays, loop, machine, mem, live_ins, n, 0, nullptr);
-    ExecResult result;
-    result.env = live_ins;
-    for (auto &[name, v] : out.liveOuts)
-        result.env[name] = v;
-    return result;
-}
-
 std::vector<std::string>
 unboundLiveIns(const Loop &loop, const LiveEnv &live_ins)
 {
@@ -622,9 +543,8 @@ tryRunCompiled(const CompiledProgram &program, const ArrayTable &arrays,
             available[cl.main.valueInfo(id).name] = RtVal{};
     }
 
-    // The bounded mirror of runCompiled: same chaining, but every
-    // constituent execution can trip the watchdog or the ambient
-    // deadline and surface it as a status.
+    // Every constituent execution can trip the watchdog or the
+    // ambient deadline and surface it as a status.
     ExecResult result;
     result.env = live_ins;
     for (size_t li = 0; li < program.loops.size(); ++li) {
@@ -703,6 +623,75 @@ tryRunReference(const Loop &loop, const ArrayTable &arrays,
     for (auto &[name, v] : out.value().liveOuts)
         result.env[name] = v;
     return result;
+}
+
+Expected<ExecResult>
+tryRunVerified(const CompiledProgram &program, const Loop &source,
+               const ArrayTable &arrays, const Machine &machine,
+               MemoryImage &mem, const LiveEnv &live_ins, int64_t n,
+               const ExecLimits &limits)
+{
+    // The copy holds exactly the bytes the program starts from,
+    // guards included.
+    MemoryImage ref_mem(mem);
+    Expected<ExecResult> run =
+        tryRunCompiled(program, arrays, machine, mem, live_ins, n, limits);
+    if (!run.ok())
+        return run;
+    Expected<ExecResult> ref = tryRunReference(source, arrays, machine,
+                                               ref_mem, live_ins, n,
+                                               limits);
+    if (!ref.ok())
+        return ref.status();
+
+    // The first difference: memory, else a live-out the reference
+    // binds that the program leaves unbound or binds to other bits.
+    std::string diff = mem.diff(ref_mem);
+    const LiveEnv &got = run.value().env, &want = ref.value().env;
+    for (ValueId v : source.liveOuts) {
+        if (!diff.empty())
+            break;
+        const std::string &name = source.valueInfo(v).name;
+        auto w = want.find(name);
+        auto g = got.find(name);
+        if (w == want.end() || (g != got.end() && g->second == w->second))
+            continue;
+        diff = strfmt("live-out '%s': %s vs %s", name.c_str(),
+                      g == got.end() ? "unbound" : g->second.str().c_str(),
+                      w->second.str().c_str());
+    }
+    if (diff.empty())
+        return run;
+    return Status::error(ErrorCode::VerifyFailed, "verify",
+                         strfmt("loop '%s' (%s): program diverged from "
+                                "the reference interpreter: %s",
+                                source.name.c_str(),
+                                techniqueName(program.technique),
+                                diff.c_str()));
+}
+
+ExecResult
+runCompiled(const CompiledProgram &program, const ArrayTable &arrays,
+            const Machine &machine, MemoryImage &mem,
+            const LiveEnv &live_ins, int64_t n)
+{
+    Expected<ExecResult> run =
+        tryRunCompiled(program, arrays, machine, mem, live_ins, n);
+    if (!run.ok())
+        SV_FATAL("%s", run.status().str().c_str());
+    return run.takeValue();
+}
+
+ExecResult
+runReference(const Loop &loop, const ArrayTable &arrays,
+             const Machine &machine, MemoryImage &mem,
+             const LiveEnv &live_ins, int64_t n)
+{
+    Expected<ExecResult> run =
+        tryRunReference(loop, arrays, machine, mem, live_ins, n);
+    if (!run.ok())
+        SV_FATAL("%s", run.status().str().c_str());
+    return run.takeValue();
 }
 
 } // namespace selvec

@@ -230,8 +230,8 @@ ResilientCompile compileLoopResilient(const Loop &loop,
  * program (sim/execplan.hh). A plan depends only on (loop, schedule,
  * machine) — not on trip count, memory or live-ins — so it can be
  * built apart from any run: planCompiled() builds every plan of a
- * program once, and runCompiled / tryRunCompiled take them, however
- * often the program then runs. A run handed a prebuilt plan records
+ * program once, and tryRunCompiled takes them, however often the
+ * program then runs. A run handed a prebuilt plan records
  * `sim.plan.reuses` instead of building one (`sim.plan.builds`).
  */
 struct ProgramPlans
@@ -257,24 +257,6 @@ struct ExecResult
 };
 
 /**
- * Run a compiled program over `n` original iterations: each compiled
- * loop executes floor(n/coverage) pipelined body iterations plus its
- * cleanup remainder, chained through live values and carried state.
- */
-ExecResult runCompiled(const CompiledProgram &program,
-                       const ArrayTable &arrays, const Machine &machine,
-                       MemoryImage &mem, const LiveEnv &live_ins,
-                       int64_t n, const ProgramPlans *plans = nullptr);
-
-/**
- * Reference execution of the original loop (sequential interpreter);
- * the oracle every technique must match bit-for-bit.
- */
-ExecResult runReference(const Loop &loop, const ArrayTable &arrays,
-                        const Machine &machine, MemoryImage &mem,
-                        const LiveEnv &live_ins, int64_t n);
-
-/**
  * Source-loop live-in names missing from `live_ins` (lowering-internal
  * "__" values are excluded: they default to zero). Non-empty means an
  * execution would panic on an unbound live-in.
@@ -283,12 +265,13 @@ std::vector<std::string> unboundLiveIns(const Loop &loop,
                                         const LiveEnv &live_ins);
 
 /**
- * runCompiled with the bindings checked first (an incomplete LiveEnv
- * — a malformed request, in service terms — is an InvalidInput
- * status, not a process death) and the execution bounded: every
- * constituent loop runs under `limits` and the ambient
- * deadline/cancellation context (see tryExecuteLoop). On a
- * mid-sequence failure `mem` is partially executed; quarantine
+ * Run a compiled program over `n` original iterations: each compiled
+ * loop executes floor(n/coverage) pipelined body iterations plus its
+ * cleanup remainder, chained through live values and carried state.
+ * The bindings are checked first (an incomplete LiveEnv is an
+ * InvalidInput status) and every constituent loop runs under `limits`
+ * and the ambient deadline/cancellation context (see tryExecuteLoop).
+ * On a mid-sequence failure `mem` is partially executed; quarantine
  * callers must discard the loop's results.
  */
 Expected<ExecResult> tryRunCompiled(const CompiledProgram &program,
@@ -299,9 +282,9 @@ Expected<ExecResult> tryRunCompiled(const CompiledProgram &program,
                                     const ExecLimits &limits = {},
                                     const ProgramPlans *plans = nullptr);
 
-/** runReference with the bindings checked first and the run bounded
- *  (sequential mode: deadline/cancellation only — no cycle
- *  watchdog). */
+/** Reference execution of the original loop on the sequential
+ *  interpreter, with the bindings checked first and the run bounded
+ *  (deadline/cancellation only — no cycle watchdog). */
 Expected<ExecResult> tryRunReference(const Loop &loop,
                                      const ArrayTable &arrays,
                                      const Machine &machine,
@@ -309,6 +292,30 @@ Expected<ExecResult> tryRunReference(const Loop &loop,
                                      const LiveEnv &live_ins,
                                      int64_t n,
                                      const ExecLimits &limits = {});
+
+/** The reference check (DESIGN.md §6.1): tryRunCompiled on `mem`,
+ *  tryRunReference of `source` on a copy taken before, then a bitwise
+ *  compare of memory and live-outs. Returns the program's result (and
+ *  `mem` as the program left it), a run failure unchanged, or
+ *  VerifyFailed at stage "verify" naming the first difference. */
+Expected<ExecResult> tryRunVerified(const CompiledProgram &program,
+                                    const Loop &source,
+                                    const ArrayTable &arrays,
+                                    const Machine &machine,
+                                    MemoryImage &mem,
+                                    const LiveEnv &live_ins, int64_t n,
+                                    const ExecLimits &limits = {});
+
+/** tryRunCompiled for tools with no recovery story: fatal on failure. */
+ExecResult runCompiled(const CompiledProgram &program,
+                       const ArrayTable &arrays, const Machine &machine,
+                       MemoryImage &mem, const LiveEnv &live_ins,
+                       int64_t n);
+
+/** tryRunReference, fatal on failure. */
+ExecResult runReference(const Loop &loop, const ArrayTable &arrays,
+                        const Machine &machine, MemoryImage &mem,
+                        const LiveEnv &live_ins, int64_t n);
 
 } // namespace selvec
 

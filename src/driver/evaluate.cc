@@ -106,52 +106,21 @@ evaluateLoop(const Suite &suite, const WorkloadLoop &wl,
     ExecLimits limits;
     limits.watchdogFactor = dopt.scheduling.watchdogFactor;
 
-    // One plan set per compiled program: the execution below reuses
-    // it across every constituent main/cleanup run.
-    ProgramPlans plans = planCompiled(program, machine);
-
     MemoryImage mem(arrays);
     mem.fillPattern(0xC0FFEE ^ wl.loopIndex);
     Expected<ExecResult> run =
-        tryRunCompiled(program, arrays, machine, mem, wl.liveIns,
-                       wl.tripCount, limits, &plans);
+        options.verify
+            ? tryRunVerified(program, loop, arrays, machine, mem,
+                             wl.liveIns, wl.tripCount, limits)
+            : tryRunCompiled(program, arrays, machine, mem, wl.liveIns,
+                             wl.tripCount, limits);
+    // A divergence from the reference is a miscompile — an invariant
+    // bug, not bad input.
+    if (!run.ok() && run.status().stage() == "verify")
+        SV_PANIC("suite %s: %s", suite.name.c_str(),
+                 run.status().message().c_str());
     if (!run.ok())
         return quarantine(run.status());
-
-    if (options.verify) {
-        MemoryImage ref_mem(arrays);
-        ref_mem.fillPattern(0xC0FFEE ^ wl.loopIndex);
-        Expected<ExecResult> ref =
-            tryRunReference(loop, arrays, machine, ref_mem,
-                            wl.liveIns, wl.tripCount, limits);
-        if (!ref.ok())
-            return quarantine(ref.status());
-        std::string diff = mem.diff(ref_mem);
-        if (!diff.empty()) {
-            // A divergence from the reference is a miscompile —
-            // an invariant bug, not bad input.
-            SV_PANIC("%s / %s / %s: memory diverged: %s",
-                     suite.name.c_str(), loop.name.c_str(),
-                     techniqueName(technique), diff.c_str());
-        }
-        for (ValueId v : loop.liveOuts) {
-            const std::string &name = loop.valueInfo(v).name;
-            if (!ref.value().env.count(name))
-                continue;
-            const LiveEnv &env = run.value().env;
-            if (!env.count(name) ||
-                !(env.at(name) == ref.value().env.at(name))) {
-                SV_PANIC("%s / %s / %s: live-out '%s' diverged "
-                         "(%s vs %s)",
-                         suite.name.c_str(), loop.name.c_str(),
-                         techniqueName(technique), name.c_str(),
-                         env.count(name)
-                             ? env.at(name).str().c_str()
-                             : "<absent>",
-                         ref.value().env.at(name).str().c_str());
-            }
-        }
-    }
 
     globalStats().add("evaluate.kernels");
     if (options.verify)

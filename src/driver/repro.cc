@@ -582,47 +582,11 @@ replayBundle(const ReproBundle &bundle)
             ExecLimits limits;
             limits.watchdogFactor =
                 bundle.options.scheduling.watchdogFactor;
-            Expected<ExecResult> run = tryRunCompiled(
-                compiled.value(), arrays, bundle.machine, mem,
-                bundle.liveIns, bundle.tripCount, limits);
-            if (!run.ok()) {
-                outcome.status = run.status();
-            } else {
-                MemoryImage refMem(arrays);
-                refMem.fillPattern(
-                    static_cast<uint64_t>(bundle.memPattern));
-                Expected<ExecResult> ref = tryRunReference(
-                    *loop, arrays, bundle.machine, refMem,
-                    bundle.liveIns, bundle.tripCount, limits);
-                if (!ref.ok()) {
-                    outcome.status = ref.status();
-                } else {
-                    std::string diff = mem.diff(refMem);
-                    if (diff.empty()) {
-                        for (ValueId v : loop->liveOuts) {
-                            const std::string &name =
-                                loop->valueInfo(v).name;
-                            if (!ref.value().env.count(name))
-                                continue;
-                            const LiveEnv &env = run.value().env;
-                            if (!env.count(name) ||
-                                !(env.at(name) ==
-                                  ref.value().env.at(name))) {
-                                diff = strfmt(
-                                    "live-out '%s' diverged",
-                                    name.c_str());
-                                break;
-                            }
-                        }
-                    }
-                    if (!diff.empty())
-                        outcome.status = Status::error(
-                            ErrorCode::VerifyFailed, "replay",
-                            strfmt("loop '%s': pipelined execution "
-                                   "diverged from the reference: %s",
-                                   loop->name.c_str(), diff.c_str()));
-                }
-            }
+            outcome.status =
+                tryRunVerified(compiled.value(), *loop, arrays,
+                               bundle.machine, mem, bundle.liveIns,
+                               bundle.tripCount, limits)
+                    .status();
         }
     }
 

@@ -98,10 +98,11 @@ Status checkCompiledInvariants(const CompiledProgram &program);
 /**
  * Re-run a bundle deterministically: arm its fault plan and deadline,
  * compile with its exact options, check the compiled program's
- * invariants (checkCompiledInvariants), execute bounded, and verify
- * against the reference interpreter (a broken invariant or a
- * divergence is a VerifyFailed status, not a panic). Restores the
- * previously installed fault plan before returning.
+ * invariants (checkCompiledInvariants), then execute bounded and
+ * verify against the reference interpreter (tryRunVerified). A broken
+ * invariant (stage "replay") or a divergence (stage "verify") is a
+ * VerifyFailed status, not a panic. Restores the previously installed
+ * fault plan before returning.
  */
 ReplayOutcome replayBundle(const ReproBundle &bundle);
 

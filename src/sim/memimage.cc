@@ -89,6 +89,27 @@ MemoryImage::fillPattern(uint64_t seed)
     }
 }
 
+namespace
+{
+
+/** One differing element, each side printed in the array's type. */
+std::string
+describeMismatch(const ArrayInfo &info, int64_t i, uint64_t lhs,
+                 uint64_t rhs)
+{
+    if (info.elemType == Type::F64) {
+        return strfmt("%s[%lld]: %.17g vs %.17g", info.name.c_str(),
+                      static_cast<long long>(i),
+                      std::bit_cast<double>(lhs),
+                      std::bit_cast<double>(rhs));
+    }
+    return strfmt("%s[%lld]: %lld vs %lld", info.name.c_str(),
+                  static_cast<long long>(i), static_cast<long long>(lhs),
+                  static_cast<long long>(rhs));
+}
+
+} // anonymous namespace
+
 std::string
 MemoryImage::diff(const MemoryImage &other) const
 {
@@ -101,12 +122,8 @@ MemoryImage::diff(const MemoryImage &other) const
         for (int64_t i = 0; i < info.size; ++i) {
             uint64_t lhs = *cell(a, i, false);
             uint64_t rhs = *other.cell(a, i, false);
-            if (lhs != rhs) {
-                return strfmt("%s[%lld]: %g vs %g", info.name.c_str(),
-                              static_cast<long long>(i),
-                              std::bit_cast<double>(lhs),
-                              std::bit_cast<double>(rhs));
-            }
+            if (lhs != rhs)
+                return describeMismatch(info, i, lhs, rhs);
         }
     }
     return "";

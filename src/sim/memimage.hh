@@ -34,7 +34,9 @@ class MemoryImage
 
     /**
      * Compare the non-synthesized arrays' in-bounds contents. Returns
-     * a description of the first mismatch, or "" when equal.
+     * a description of the first mismatch, or "" when equal. I64
+     * elements print as integers ("A[3]: 7 vs 9"), F64 elements with
+     * %.17g, which tells any two distinct finite doubles apart.
      */
     std::string diff(const MemoryImage &other) const;
 

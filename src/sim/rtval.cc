@@ -30,6 +30,7 @@ std::string
 RtVal::str() const
 {
     std::ostringstream out;
+    out.precision(17);   // round-trips every finite double
     out << typeName(type) << "{";
     if (floatData) {
         for (size_t i = 0; i < fv.size(); ++i)

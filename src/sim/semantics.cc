@@ -21,13 +21,21 @@ safeIDiv(int64_t a, int64_t b)
 namespace
 {
 
+/** Simulated integers are 64-bit two's complement: add, subtract and
+ *  multiply (and negation, as 0 - a) wrap, computed through uint64_t
+ *  so the simulator itself never overflows a signed value. */
 int64_t
 ibin(Opcode op, int64_t a, int64_t b)
 {
+    uint64_t ua = static_cast<uint64_t>(a);
+    uint64_t ub = static_cast<uint64_t>(b);
     switch (op) {
-      case Opcode::IAdd: case Opcode::VIAdd: return a + b;
-      case Opcode::ISub: case Opcode::VISub: return a - b;
-      case Opcode::IMul: case Opcode::VIMul: return a * b;
+      case Opcode::IAdd: case Opcode::VIAdd:
+        return static_cast<int64_t>(ua + ub);
+      case Opcode::ISub: case Opcode::VISub:
+        return static_cast<int64_t>(ua - ub);
+      case Opcode::IMul: case Opcode::VIMul:
+        return static_cast<int64_t>(ua * ub);
       case Opcode::IDiv: case Opcode::VIDiv: return safeIDiv(a, b);
       case Opcode::IMin: case Opcode::VIMin: return std::min(a, b);
       case Opcode::IMax: case Opcode::VIMax: return std::max(a, b);
@@ -139,7 +147,7 @@ evalOpInto(RtVal &dest, const Operation &op,
         outScalarF(dest, src(0).laneF(0));
         return;
       case Opcode::INeg:
-        outScalarI(dest, -src(0).laneI(0));
+        outScalarI(dest, ibin(Opcode::ISub, 0, src(0).laneI(0)));
         return;
       case Opcode::FNeg:
         outScalarF(dest, -src(0).laneF(0));
@@ -229,7 +237,8 @@ evalOpInto(RtVal &dest, const Operation &op,
         const RtVal &a = src(0);
         std::vector<int64_t> &lanes = outVectorI(dest, vl);
         for (int l = 0; l < vl; ++l)
-            lanes[static_cast<size_t>(l)] = -a.laneI(l);
+            lanes[static_cast<size_t>(l)] =
+                ibin(Opcode::ISub, 0, a.laneI(l));
         return;
       }
       case Opcode::VFAdd: case Opcode::VFSub: case Opcode::VFMul:

@@ -85,24 +85,18 @@ StatsRegistry::reset()
 }
 
 void
-StatsRegistry::mergeFrom(const StatsRegistry &other,
-                         const std::string &filterPrefix)
+StatsRegistry::mergeFrom(const StatsRegistry &other)
 {
     // Snapshot first: self-merge aside, taking both mutexes in a
     // fixed order is more ceremony than copying a small map.
-    applyEntries(other.snapshot(), filterPrefix);
+    applyEntries(other.snapshot());
 }
 
 void
-StatsRegistry::applyEntries(const std::vector<StatEntry> &entries,
-                            const std::string &filterPrefix)
+StatsRegistry::applyEntries(const std::vector<StatEntry> &entries)
 {
     std::lock_guard<std::mutex> lock(mutex);
     for (const StatEntry &e : entries) {
-        if (!filterPrefix.empty() &&
-            e.key.compare(0, filterPrefix.size(), filterPrefix) == 0) {
-            continue;
-        }
         Stat &s = stats[e.key];
         s.kind = e.kind;
         switch (e.kind) {

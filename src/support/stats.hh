@@ -83,16 +83,13 @@ class StatsRegistry
      * Fold another registry's contents into this one, by kind:
      * counters and timers add, max gauges take the max, and plain
      * gauges overwrite (so merging task deltas in task order yields
-     * the same final value as serial execution). `filterPrefix`, when
-     * non-empty, skips keys starting with it.
+     * the same final value as serial execution).
      */
-    void mergeFrom(const StatsRegistry &other,
-                   const std::string &filterPrefix = "");
+    void mergeFrom(const StatsRegistry &other);
 
     /** mergeFrom for an already-captured snapshot — how the schedule
      *  memo replays a stored delta on a hit. */
-    void applyEntries(const std::vector<StatEntry> &entries,
-                      const std::string &filterPrefix = "");
+    void applyEntries(const std::vector<StatEntry> &entries);
 
     /**
      * The registry as a nested JSON object: dotted keys become object

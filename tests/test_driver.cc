@@ -7,9 +7,12 @@
 
 #include "driver/evaluate.hh"
 #include "driver/reportjson.hh"
+#include "kernel_files.hh"
 #include "lir/lir.hh"
 #include "machine/machine.hh"
+#include "support/deadline.hh"
 #include "support/faultinject.hh"
+#include "support/stats.hh"
 #include "workloads/workloads.hh"
 
 namespace selvec
@@ -98,15 +101,11 @@ TEST(Driver, RemainderRunsCleanup)
     for (int64_t n : {0, 1, 2, 3, 63, 64, 65}) {
         MemoryImage mem(arrays);
         mem.fillPattern(11);
-        ExecResult got =
-            runCompiled(p, arrays, mach, mem, env, n);
-
-        MemoryImage ref(arrays);
-        ref.fillPattern(11);
-        runReference(m.loops[0], arrays, mach, ref, env, n);
-        EXPECT_EQ(mem.diff(ref), "") << "n=" << n;
+        Expected<ExecResult> got =
+            tryRunVerified(p, m.loops[0], arrays, mach, mem, env, n);
+        ASSERT_TRUE(got.ok()) << "n=" << n << ": " << got.status().str();
         if (n > 0) {
-            EXPECT_GT(got.cycles, 0);
+            EXPECT_GT(got.value().cycles, 0);
         }
     }
 }
@@ -135,14 +134,10 @@ loop t {
     // Odd trip count: the final element flows through the cleanup.
     MemoryImage mem(arrays);
     mem.fillPattern(13);
-    ExecResult got = runCompiled(p, arrays, mach, mem, env, 65);
-
-    MemoryImage ref(arrays);
-    ref.fillPattern(13);
-    ExecResult want =
-        runReference(m.loops[0], arrays, mach, ref, env, 65);
-    ASSERT_TRUE(got.env.count("s1"));
-    EXPECT_EQ(got.env.at("s1"), want.env.at("s1"));
+    Expected<ExecResult> got =
+        tryRunVerified(p, m.loops[0], arrays, mach, mem, env, 65);
+    ASSERT_TRUE(got.ok()) << got.status().str();
+    ASSERT_TRUE(got.value().env.count("s1"));
 }
 
 TEST(Driver, ResourceLimitedFlag)
@@ -188,6 +183,126 @@ TEST(Driver, InvocationOverheadCharged)
     MemoryImage mem(arrays);
     ExecResult r0 = runCompiled(p, arrays, mach, mem, env, 0);
     EXPECT_EQ(r0.cycles, mach.invocationOverhead);
+}
+
+// ---------------------------------------------------------------------
+// The reference check: tryRunVerified.
+
+TEST(RunVerified, CleanRunEqualsThePlainRun)
+{
+    Machine mach = paperMachine();
+    for (const std::string &file : kernelFiles()) {
+        Module m = parseLirOrDie(readKernel(file));
+        const Loop &loop = m.loops.front();
+        LiveEnv env = bindLiveIns(loop);
+        for (Technique t :
+             {Technique::ModuloOnly, Technique::Selective}) {
+            ArrayTable arrays = m.arrays;
+            CompiledProgram p = compileLoop(loop, arrays, mach, t);
+
+            MemoryImage mem(arrays);
+            mem.fillPattern(19);
+            Expected<ExecResult> verified =
+                tryRunVerified(p, loop, arrays, mach, mem, env, 67);
+            ASSERT_TRUE(verified.ok())
+                << file << " " << techniqueName(t) << ": "
+                << verified.status().str();
+
+            MemoryImage plain_mem(arrays);
+            plain_mem.fillPattern(19);
+            Expected<ExecResult> plain =
+                tryRunCompiled(p, arrays, mach, plain_mem, env, 67);
+            ASSERT_TRUE(plain.ok()) << plain.status().str();
+
+            EXPECT_EQ(verified.value().cycles, plain.value().cycles)
+                << file << " " << techniqueName(t);
+            EXPECT_EQ(verified.value().env, plain.value().env)
+                << file << " " << techniqueName(t);
+            // `mem` ends as the program left it.
+            EXPECT_EQ(mem.diff(plain_mem), "")
+                << file << " " << techniqueName(t);
+        }
+    }
+}
+
+/** tryRunVerified's status for `kernel`'s ModuloOnly program with the
+ *  first fadd of its main loop turned into an fsub: a miscompile the
+ *  check must catch. */
+Status
+flippedAddStatus(const std::string &kernel)
+{
+    Module m = parseLirOrDie(readKernel(kernel));
+    const Loop &loop = m.loops.front();
+    Machine mach = paperMachine();
+    ArrayTable arrays = m.arrays;
+    CompiledProgram p =
+        compileLoop(loop, arrays, mach, Technique::ModuloOnly);
+    for (Operation &op : p.loops[0].main.ops) {
+        if (op.opcode == Opcode::FAdd) {
+            op.opcode = Opcode::FSub;
+            break;
+        }
+    }
+    MemoryImage mem(arrays);
+    mem.fillPattern(19);
+    return tryRunVerified(p, loop, arrays, mach, mem, bindLiveIns(loop),
+                          67)
+        .status();
+}
+
+TEST(RunVerified, MemoryDivergenceNamesTheElement)
+{
+    Status st = flippedAddStatus("saxpy.lir");
+    EXPECT_EQ(st.code(), ErrorCode::VerifyFailed);
+    EXPECT_EQ(st.stage(), "verify");
+    EXPECT_NE(st.message().find("Y[0]: "), std::string::npos) << st.str();
+}
+
+TEST(RunVerified, LiveOutDivergenceNamesTheValue)
+{
+    // dot stores nothing: only its live-out can tell.
+    Status st = flippedAddStatus("dot.lir");
+    EXPECT_EQ(st.code(), ErrorCode::VerifyFailed);
+    EXPECT_EQ(st.stage(), "verify");
+    EXPECT_NE(st.message().find("live-out 's1'"), std::string::npos)
+        << st.str();
+}
+
+TEST(RunVerified, RunFailureComesBackWithoutAReferenceRun)
+{
+    Module m = parseLirOrDie(readKernel("saxpy.lir"));
+    const Loop &loop = m.loops.front();
+    Machine mach = paperMachine();
+    ArrayTable arrays = m.arrays;
+    CompiledProgram p =
+        compileLoop(loop, arrays, mach, Technique::Selective);
+    LiveEnv env = bindLiveIns(loop);
+
+    StatsRegistry stats;
+    ScopedStatsSink sink(stats);
+
+    ExecLimits limits;
+    limits.maxCycles = 1;   // no pipeline finishes in one cycle
+    MemoryImage mem(arrays);
+    mem.fillPattern(19);
+    Expected<ExecResult> tripped =
+        tryRunVerified(p, loop, arrays, mach, mem, env, 67, limits);
+    ASSERT_FALSE(tripped.ok());
+    EXPECT_EQ(tripped.status().code(), ErrorCode::WatchdogTripped);
+    EXPECT_EQ(tripped.status().stage(), "sim");
+
+    Expected<ExecResult> expired = [&] {
+        ScopedDeadline guard(Deadline::afterMs(0));
+        MemoryImage fresh(arrays);
+        fresh.fillPattern(19);
+        return tryRunVerified(p, loop, arrays, mach, fresh, env, 67);
+    }();
+    ASSERT_FALSE(expired.ok());
+    EXPECT_EQ(expired.status().code(), ErrorCode::DeadlineExceeded);
+
+    // Both program runs aborted; neither reached the reference.
+    EXPECT_EQ(stats.value("sim.aborts"), 2);
+    EXPECT_EQ(stats.value("sim.referenceRuns"), 0);
 }
 
 TEST(Evaluate, SuiteReportsAreConsistent)

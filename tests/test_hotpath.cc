@@ -16,13 +16,10 @@
  *  - steady-state testSwitch/commitSwitch perform zero heap
  *    allocations.
  *
- * This binary overrides the global operator new to count allocations,
- * which is why these tests live apart from selvec_tests.
+ * This binary links the counting allocator (counting_alloc.cc), which
+ * replaces the global operator new, so these tests live apart from
+ * selvec_tests.
  */
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include <gtest/gtest.h>
 
@@ -30,58 +27,13 @@
 #include "analysis/vectorizable.hh"
 #include "core/costmodel.hh"
 #include "core/partition.hh"
+#include "counting_alloc.hh"
 #include "machine/machine.hh"
 #include "pipeline/lowering.hh"
 #include "pipeline/modsched.hh"
 #include "support/checkmode.hh"
 #include "support/random.hh"
 #include "workloads/generator.hh"
-
-namespace
-{
-
-std::atomic<uint64_t> g_allocations{0};
-
-} // anonymous namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
@@ -237,10 +189,10 @@ TEST(Hotpath, SteadyStateMovesAllocateNothing)
     sequence();
     sequence();
 
-    uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    uint64_t before = countedAllocations();
     sequence();
     sequence();
-    uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    uint64_t after = countedAllocations();
     EXPECT_EQ(before, after)
         << "testSwitch/commitSwitch allocated in steady state";
 }

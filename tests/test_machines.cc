@@ -79,12 +79,16 @@ TEST(Machines, ResultsAreMachineIndependent)
                 compileLoop(m.loops[0], arrays, machine, t);
             MemoryImage mem(arrays);
             mem.fillPattern(91);
-            ExecResult got =
-                runCompiled(p, arrays, machine, mem, env, 97);
+            Expected<ExecResult> got = tryRunVerified(
+                p, m.loops[0], arrays, machine, mem, env, 97);
+            ASSERT_TRUE(got.ok())
+                << machine.name << " " << techniqueName(t) << ": "
+                << got.status().str();
+            ASSERT_TRUE(got.value().env.count("s1"));
+            // Every machine also matches the paper machine's reference.
             EXPECT_EQ(mem.diff(ref_mem), "")
                 << machine.name << " " << techniqueName(t);
-            ASSERT_TRUE(got.env.count("s1"));
-            EXPECT_EQ(got.env.at("s1"), ref.env.at("s1"))
+            EXPECT_EQ(got.value().env.at("s1"), ref.env.at("s1"))
                 << machine.name << " " << techniqueName(t);
         }
     }

@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +20,7 @@
 #include "driver/evaluate.hh"
 #include "driver/repro.hh"
 #include "driver/reportjson.hh"
+#include "kernel_files.hh"
 #include "lir/lir.hh"
 #include "machine/machine.hh"
 #include "support/json.hh"
@@ -31,27 +30,6 @@ namespace selvec
 {
 namespace
 {
-
-std::string
-readKernel(const std::string &name)
-{
-    std::string path = std::string(SELVEC_KERNEL_DIR) + "/" + name;
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << "cannot open " << path;
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-const std::vector<std::string> &
-kernelFiles()
-{
-    static const std::vector<std::string> kernels = {
-        "butterfly.lir", "cmul.lir",   "dot.lir",
-        "saxpy.lir",     "search.lir", "stencil5.lir",
-    };
-    return kernels;
-}
 
 struct Analyzed
 {

@@ -236,16 +236,6 @@ TEST(StatsSink, RedirectsAndMergesInOrder)
     EXPECT_EQ(outer.value("x.gauge"), 20);   // last merge wins
 }
 
-TEST(StatsSink, MergeFilterPrefixDropsKeys)
-{
-    StatsRegistry src, dst;
-    src.add("cache.hit", 3);
-    src.add("driver.compiles", 2);
-    dst.mergeFrom(src, "cache.");
-    EXPECT_EQ(dst.value("cache.hit"), 0);
-    EXPECT_EQ(dst.value("driver.compiles"), 2);
-}
-
 TEST(StatsSink, ToJsonCanZeroTimerNs)
 {
     StatsRegistry reg;

@@ -63,29 +63,13 @@ TEST_P(RandomLoops, AllTechniquesMatchReference)
             for (int64_t n : {5, 31, 64}) {
                 MemoryImage mem(arrays);
                 mem.fillPattern(42 + static_cast<uint64_t>(n));
-                ExecResult got = runCompiled(program, arrays, machine,
-                                             mem, g.liveIns, n);
-
-                MemoryImage ref(arrays);
-                ref.fillPattern(42 + static_cast<uint64_t>(n));
-                ExecResult want = runReference(
-                    g.loop(), arrays, machine, ref, g.liveIns, n);
-
-                ASSERT_EQ(mem.diff(ref), "")
+                Expected<ExecResult> got =
+                    tryRunVerified(program, g.loop(), arrays, machine,
+                                   mem, g.liveIns, n);
+                ASSERT_TRUE(got.ok())
                     << techniqueName(technique) << " n=" << n
-                    << " machine=" << machine.name;
-                for (ValueId v : g.loop().liveOuts) {
-                    const std::string &name =
-                        g.loop().valueInfo(v).name;
-                    if (!want.env.count(name))
-                        continue;
-                    ASSERT_TRUE(got.env.count(name))
-                        << name << " missing, "
-                        << techniqueName(technique);
-                    ASSERT_EQ(got.env.at(name), want.env.at(name))
-                        << name << " " << techniqueName(technique)
-                        << " n=" << n;
-                }
+                    << " machine=" << machine.name << ": "
+                    << got.status().str();
             }
         }
     }

@@ -54,6 +54,21 @@ TEST(MemImage, DiffFindsFirstMismatch)
     EXPECT_EQ(a.diff(b), "");
     b.storeF(0, 7, 123.0);
     EXPECT_NE(a.diff(b), "");
+
+    // Doubles that agree to six digits still print apart.
+    MemoryImage c(arrays), d(arrays);
+    c.storeF(0, 2, 1.0);
+    d.storeF(0, 2, 1.0000001);
+    EXPECT_EQ(c.diff(d), "F[2]: 1 vs 1.0000001000000001");
+
+    // Integer elements print as integers, not as reinterpreted
+    // doubles.
+    ArrayTable ints;
+    ints.add(ArrayInfo{"I", Type::I64, 16, false, 2});
+    MemoryImage e(ints), f(ints);
+    e.storeI(0, 3, 7);
+    f.storeI(0, 3, 9);
+    EXPECT_EQ(e.diff(f), "I[3]: 7 vs 9");
 }
 
 TEST(MemImage, DiffIgnoresSynthesizedArrays)
@@ -126,6 +141,34 @@ TEST_F(OpSemantics, ScalarArithmetic)
     EXPECT_EQ(eval(Opcode::IXor, {RtVal::scalarI(6), RtVal::scalarI(3)})
                   .laneI(0),
               5);
+}
+
+TEST_F(OpSemantics, IntegerArithmeticWraps)
+{
+    // Simulated integers are two's complement: overflow wraps.
+    const int64_t big = 12545225621776;
+    const int64_t wrapped = 9191786885577515264;   // big * big mod 2^64
+    EXPECT_EQ(eval(Opcode::IMul, {RtVal::scalarI(big),
+                                  RtVal::scalarI(big)})
+                  .laneI(0),
+              wrapped);
+    EXPECT_EQ(eval(Opcode::VIMul, {RtVal::vectorI({big, 3}),
+                                   RtVal::vectorI({big, 5})})
+                  .laneI(0),
+              wrapped);
+    EXPECT_EQ(eval(Opcode::INeg, {RtVal::scalarI(INT64_MIN)}).laneI(0),
+              INT64_MIN);
+    EXPECT_EQ(eval(Opcode::VINeg, {RtVal::vectorI({INT64_MIN, 4})})
+                  .laneI(0),
+              INT64_MIN);
+    EXPECT_EQ(eval(Opcode::IAdd, {RtVal::scalarI(INT64_MAX),
+                                  RtVal::scalarI(1)})
+                  .laneI(0),
+              INT64_MIN);
+    EXPECT_EQ(eval(Opcode::ISub, {RtVal::scalarI(INT64_MIN),
+                                  RtVal::scalarI(1)})
+                  .laneI(0),
+              INT64_MAX);
 }
 
 TEST_F(OpSemantics, FmaMatchesMulAdd)

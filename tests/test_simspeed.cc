@@ -20,18 +20,17 @@
  *    allocations: a 2048-iteration run allocates exactly as much as
  *    a 512-iteration run.
  *
- * This binary overrides the global operator new to count allocations,
- * which is why these tests live apart from selvec_tests.
+ * This binary links the counting allocator (counting_alloc.cc), which
+ * replaces the global operator new, so these tests live apart from
+ * selvec_tests.
  */
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include <gtest/gtest.h>
 
 #include "analysis/depgraph.hh"
+#include "counting_alloc.hh"
 #include "driver/driver.hh"
 #include "lir/lir.hh"
 #include "machine/machine.hh"
@@ -42,52 +41,6 @@
 #include "support/checkmode.hh"
 #include "support/random.hh"
 #include "workloads/generator.hh"
-
-namespace
-{
-
-std::atomic<uint64_t> g_allocations{0};
-
-} // anonymous namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace selvec
 {
@@ -442,13 +395,11 @@ TEST(SimAllocation, SteadyStateIsAllocationFree)
     auto countRun = [&](int64_t n_body) {
         MemoryImage mem(m.arrays);
         mem.fillPattern(1);
-        uint64_t before =
-            g_allocations.load(std::memory_order_relaxed);
+        uint64_t before = countedAllocations();
         RunOutput out = executeLoop(m.arrays, lowered, machine, mem,
                                     env, n_body, 0, &sr.schedule,
                                     &plan);
-        uint64_t after =
-            g_allocations.load(std::memory_order_relaxed);
+        uint64_t after = countedAllocations();
         EXPECT_EQ(out.bodyIterations, n_body);
         return after - before;
     };
