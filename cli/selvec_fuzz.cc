@@ -11,7 +11,7 @@
  * stock-machine variant, a technique, a trip count and (for ~30% of
  * seeds, unless --force-fault pins one) a fault-injection plan, then
  * runs the full pipeline under a per-seed deadline and the simulator
- * watchdog — compile, the DESIGN.md §6.3/§6.4 invariants on the
+ * watchdog — compile, the DESIGN.md §6.3/§6.4/§6.5 invariants on the
  * compiled program, bounded pipelined execution, bitwise verification
  * against the reference interpreter.
  *
@@ -26,7 +26,7 @@
  *   contained  — a structured failure (injected fault, deadline,
  *                watchdog, schedule/partition exhaustion) that the
  *                containment layer absorbed; expected, not a bug;
- *   finding    — a verification divergence, a broken §6.3/§6.4
+ *   finding    — a verification divergence, a broken §6.3/§6.4/§6.5
  *                invariant or an escape below the Status layer: a
  *                real bug. Findings are minimized by greedy
  *                body-line deletion and exit the sweep with status 1.

@@ -105,7 +105,7 @@ class Tarjan
 } // anonymous namespace
 
 SccInfo
-computeSccs(int num_nodes, const std::vector<std::pair<int, int>> &edges)
+findSccs(int num_nodes, const std::vector<std::pair<int, int>> &edges)
 {
     std::vector<std::vector<int>> adj(static_cast<size_t>(num_nodes));
     for (const auto &[src, dst] : edges) {
@@ -141,10 +141,16 @@ computeSccs(int num_nodes, const std::vector<std::pair<int, int>> &edges)
     for (int c = 0; c < tarjan.numComps; ++c) {
         info.topoOrder[static_cast<size_t>(tarjan.numComps - 1 - c)] = c;
     }
+    return info;
+}
 
+SccInfo
+computeSccs(int num_nodes, const std::vector<std::pair<int, int>> &edges)
+{
+    SccInfo info = findSccs(num_nodes, edges);
     StatsRegistry &stats = globalStats();
     stats.add("scc.runs");
-    stats.add("scc.components", tarjan.numComps);
+    stats.add("scc.components", info.numSccs());
     size_t largest = 0;
     for (const auto &m : info.members)
         largest = std::max(largest, m.size());

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tarjan's strongly connected components [36], used to find dependence
- * cycles (recurrences) and to order component emission in the loop
- * transformers.
+ * cycles (recurrences), to order component emission in the loop
+ * transformers, and to split RecMII into one search per recurrence.
+ * Both entry points run in O(nodes + edges).
  */
 
 #ifndef SELVEC_ANALYSIS_SCC_HH
@@ -37,13 +38,24 @@ struct SccInfo
 };
 
 /**
- * Compute SCCs of a directed graph given as an edge list.
+ * Compute SCCs of a directed graph given as an edge list, and record
+ * the run in the `scc.runs`, `scc.components` and `scc.maxComponent`
+ * stats. The vectorizability analysis is its caller; the stats count
+ * that analysis's runs, so the report documents carry them.
  *
  * @param num_nodes node count; nodes are 0 .. num_nodes-1
  * @param edges (src, dst) pairs; self edges and duplicates allowed
  */
 SccInfo computeSccs(int num_nodes,
                     const std::vector<std::pair<int, int>> &edges);
+
+/**
+ * computeSccs without the stats: the same components, recording
+ * nothing. For callers that run on every schedule (computeRecMii),
+ * which must not move the documented `scc.*` counts.
+ */
+SccInfo findSccs(int num_nodes,
+                 const std::vector<std::pair<int, int>> &edges);
 
 } // namespace selvec
 

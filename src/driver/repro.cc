@@ -2,7 +2,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <tuple>
 
 #include "lir/lir.hh"
 #include "support/deadline.hh"
@@ -501,10 +503,71 @@ loadReproBundle(const std::string &path)
     return reproBundleOfJson(doc.value());
 }
 
+namespace
+{
+
+/**
+ * DESIGN.md §6.5 on one compiled main loop: no operand crosses between
+ * the partitions twice in the same direction and lane. Scalar->vector
+ * crossings are XferStoreS srcs[0], MovSV srcs[1] and VPack srcs[i]
+ * (lane i); vector->scalar ones are XferStoreV srcs[0] (all lanes at
+ * once) and MovVS/VPick srcs[0].
+ */
+Status
+checkTransfersOnce(const Loop &main)
+{
+    constexpr int kAllLanes = -1;
+    std::set<std::tuple<bool, ValueId, int>> seen;
+    auto cross = [&](bool to_vector, ValueId value, int lane) {
+        if (seen.emplace(to_vector, value, lane).second)
+            return Status::success();
+        std::string where =
+            lane == kAllLanes ? "all lanes" : strfmt("lane %d", lane);
+        return Status::error(
+            ErrorCode::VerifyFailed, "replay",
+            strfmt("loop '%s': value '%s' is transferred %s twice in "
+                   "%s (DESIGN.md §6.5)",
+                   main.name.c_str(), main.valueInfo(value).name.c_str(),
+                   to_vector ? "scalar->vector" : "vector->scalar",
+                   where.c_str()));
+    };
+    for (const Operation &op : main.ops) {
+        Status st = Status::success();
+        switch (op.opcode) {
+          case Opcode::XferStoreS:
+            st = cross(true, op.srcs[0], op.lane);
+            break;
+          case Opcode::MovSV:
+            st = cross(true, op.srcs[1], op.lane);
+            break;
+          case Opcode::VPack:
+            for (size_t i = 0; i < op.srcs.size() && st.ok(); ++i)
+                st = cross(true, op.srcs[i], static_cast<int>(i));
+            break;
+          case Opcode::XferStoreV:
+            st = cross(false, op.srcs[0], kAllLanes);
+            break;
+          case Opcode::MovVS:
+          case Opcode::VPick:
+            st = cross(false, op.srcs[0], op.lane);
+            break;
+          default:
+            break;
+        }
+        if (!st.ok())
+            return st;
+    }
+    return Status::success();
+}
+
+} // anonymous namespace
+
 Status
 checkCompiledInvariants(const CompiledProgram &program)
 {
     for (const CompiledLoop &cl : program.loops) {
+        if (Status st = checkTransfersOnce(cl.main); !st.ok())
+            return st;
         if (cl.mainResMii > cl.mainSchedule.ii ||
             cl.mainRecMii > cl.mainSchedule.ii) {
             return Status::error(

@@ -87,11 +87,12 @@ struct ReplayOutcome
 };
 
 /**
- * DESIGN.md §6.3 and §6.4 on a compiled program: every loop's II is at
- * least its main loop's ResMII and RecMII, and a Selective program
- * whose partition came from KL costs exactly its transformed loop's
- * ResMII. Returns VerifyFailed at stage "replay" naming the first
- * violation, or success.
+ * DESIGN.md §6.3, §6.4 and §6.5 on a compiled program: no main loop
+ * transfers an operand between the partitions twice in the same
+ * direction and lane, every loop's II is at least its main loop's
+ * ResMII and RecMII, and a Selective program whose partition came from
+ * KL costs exactly its transformed loop's ResMII. Returns VerifyFailed
+ * at stage "replay" naming the first violation, or success.
  */
 Status checkCompiledInvariants(const CompiledProgram &program);
 

@@ -12,6 +12,7 @@
 #include "analysis/vectorizable.hh"
 #include "lir/lir.hh"
 #include "machine/machine.hh"
+#include "support/stats.hh"
 
 namespace selvec
 {
@@ -390,6 +391,153 @@ TEST(RecMii, AdmitsMonotone)
     EXPECT_FALSE(recurrencesAdmit(g, rec - 1));
     EXPECT_TRUE(recurrencesAdmit(g, rec));
     EXPECT_TRUE(recurrencesAdmit(g, rec + 5));
+}
+
+TEST(RecMii, BindingRecurrenceNeedNotComeFirst)
+{
+    // Two independent self recurrences: fadd (latency 4) and fdiv
+    // (latency 32), in either order. The larger one binds, also when
+    // it is not the first component searched.
+    const char *fadd_first = R"(
+array X f64 256
+loop t {
+    livein a0 f64
+    livein b0 f64
+    carried a f64 init a0 update a1
+    carried b f64 init b0 update b1
+    body {
+        x = load X[i]
+        a1 = fadd a x
+        b1 = fdiv b x
+    }
+    liveout a1
+    liveout b1
+}
+)";
+    const char *fdiv_first = R"(
+array X f64 256
+loop t {
+    livein a0 f64
+    livein b0 f64
+    carried a f64 init a0 update a1
+    carried b f64 init b0 update b1
+    body {
+        x = load X[i]
+        b1 = fdiv b x
+        a1 = fadd a x
+    }
+    liveout a1
+    liveout b1
+}
+)";
+    Machine mach = paperMachine();
+    std::vector<int> first_searched;
+    for (const char *text : {fadd_first, fdiv_first}) {
+        Module m = parse(text);
+        DepGraph g(m.arrays, m.loops[0], mach);
+        // computeRecMii searches the cyclic components in findSccs
+        // order.
+        std::vector<std::pair<int, int>> pairs;
+        for (const DepEdge &e : g.edges())
+            pairs.emplace_back(e.src, e.dst);
+        SccInfo info = findSccs(g.numOps(), pairs);
+        for (int c = 0; c < info.numSccs(); ++c) {
+            if (info.cyclic[static_cast<size_t>(c)]) {
+                first_searched.push_back(
+                    info.members[static_cast<size_t>(c)].front());
+                break;
+            }
+        }
+        EXPECT_EQ(computeRecMii(g), 32);
+        EXPECT_FALSE(recurrencesAdmit(g, 31));
+        EXPECT_TRUE(recurrencesAdmit(g, 32));
+    }
+    // Op 1 is the fadd in the first loop and the fdiv in the second.
+    EXPECT_EQ(first_searched, (std::vector<int>{1, 1}));
+}
+
+TEST(RecMii, NonIntegerRatioRoundsUp)
+{
+    Module m = parse(R"(
+array A f64 256
+loop t {
+    body {
+        x = load A[i]
+        y = fneg x
+        store A[i + 3] = y
+    }
+}
+)");
+    Machine mach = paperMachine();
+    DepGraph g(m.arrays, m.loops[0], mach);
+    // load 3 + fneg 4 + store edge 1 = 8 over distance 3:
+    // ceil(8/3) = 3.
+    EXPECT_EQ(computeRecMii(g), 3);
+    EXPECT_FALSE(recurrencesAdmit(g, 2));
+    EXPECT_TRUE(recurrencesAdmit(g, 3));
+}
+
+TEST(RecMii, UnknownMemoryDependenceSerializes)
+{
+    // A[2i] against A[i] has no static distance: the pair is
+    // serialized by a latency-1 edge at distance 0 and one back at
+    // distance 1, a cycle of latency 2 over distance 1.
+    Module m = parse(R"(
+array A f64 1024
+array B f64 1024
+loop t {
+    livein c f64
+    body {
+        x = load A[2i]
+        store A[i] = c
+        y = fneg x
+        store B[i] = y
+    }
+}
+)");
+    Machine mach = paperMachine();
+    DepGraph g(m.arrays, m.loops[0], mach);
+    int serializing = 0;
+    for (const DepEdge &e : g.edges()) {
+        if (e.serializing) {
+            ++serializing;
+            EXPECT_EQ(e.latency, 1);
+        }
+    }
+    EXPECT_EQ(serializing, 2);
+    EXPECT_EQ(computeRecMii(g), 2);
+    EXPECT_FALSE(recurrencesAdmit(g, 1));
+    EXPECT_TRUE(recurrencesAdmit(g, 2));
+}
+
+TEST(RecMii, RecordsNoStats)
+{
+    Module m = parse(kDot);
+    Machine mach = paperMachine();
+    DepGraph g(m.arrays, m.loops[0], mach);
+
+    StatsRegistry quiet;
+    {
+        ScopedStatsSink sink(quiet);
+        EXPECT_EQ(computeRecMii(g), 4);
+        EXPECT_TRUE(recurrencesAdmit(g, 4));
+    }
+    EXPECT_TRUE(quiet.snapshot().empty());
+
+    // The SCC pass it runs is computeSccs minus the stats, which
+    // computeSccs itself still records.
+    StatsRegistry counted;
+    {
+        ScopedStatsSink sink(counted);
+        computeSccs(3, {{0, 1}, {1, 0}, {1, 2}});
+    }
+    std::vector<std::string> keys;
+    for (const StatEntry &entry : counted.snapshot())
+        keys.push_back(entry.key);
+    EXPECT_EQ(keys, (std::vector<std::string>{
+                        "scc.components", "scc.maxComponent",
+                        "scc.runs"}));
+    EXPECT_EQ(counted.value("scc.maxComponent"), 2);
 }
 
 } // anonymous namespace

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <set>
 
 #include "driver/evaluate.hh"
 #include "driver/repro.hh"
@@ -723,6 +724,49 @@ TEST(Repro, CompiledInvariantCheckFlagsEachViolation)
     incoherent.partition.exactUsed = false;
     incoherent.technique = Technique::Full;
     EXPECT_TRUE(checkCompiledInvariants(incoherent).ok());
+
+    // §6.5 on compiled Selective programs: su2cor's prop loop
+    // transfers in both directions through memory and by direct
+    // moves, the Figure 1 dot product by free packs and picks. Each
+    // transfer op of a main loop, repeated under a fresh destination,
+    // is a violation.
+    const std::set<Opcode> transfers = {
+        Opcode::XferStoreS, Opcode::MovSV,  Opcode::VPack,
+        Opcode::XferStoreV, Opcode::MovVS, Opcode::VPick};
+    std::set<Opcode> repeated;
+    auto repeatEachTransfer = [&](const Suite &suite,
+                                  const std::string &name,
+                                  const Machine &machine) {
+        const Loop *source = nullptr;
+        for (const Loop &loop : suite.module.loops)
+            if (loop.name == name)
+                source = &loop;
+        ASSERT_NE(source, nullptr) << name;
+        ArrayTable arrays = suite.module.arrays;
+        Expected<CompiledProgram> compiled = tryCompileLoop(
+            *source, arrays, machine, Technique::Selective);
+        ASSERT_TRUE(compiled.ok()) << compiled.status().str();
+        EXPECT_TRUE(checkCompiledInvariants(compiled.value()).ok())
+            << name << " on " << machine.name;
+        for (const Operation &op : compiled.value().loops[0].main.ops) {
+            if (transfers.count(op.opcode) == 0)
+                continue;
+            CompiledProgram twice = compiled.value();
+            Loop &main = twice.loops[0].main;
+            Operation again = op;
+            again.dest = main.addValue(main.typeOf(op.dest), "again");
+            main.addOp(std::move(again));
+            expectBroken(twice, "§6.5");
+            repeated.insert(op.opcode);
+        }
+    };
+    Suite su2cor = makeSuite("103.su2cor");
+    repeatEachTransfer(su2cor, "su2cor_prop", paperMachine());
+    repeatEachTransfer(su2cor, "su2cor_prop", directMoveMachine());
+    Suite dot = dotProductSuite();
+    repeatEachTransfer(dot, dot.loopOf(dot.loops.front()).name,
+                       toyMachine());
+    EXPECT_EQ(repeated, transfers);
 }
 
 } // anonymous namespace

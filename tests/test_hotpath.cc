@@ -14,7 +14,11 @@
  *    that the ready heap matches a priority scan and the MRT masks
  *    match the cells);
  *  - steady-state testSwitch/commitSwitch perform zero heap
- *    allocations.
+ *    allocations;
+ *  - computeRecMii equals the whole-graph Floyd-Warshall search it
+ *    replaced (kept here as referenceRecMii) on the kernels, the suite
+ *    loops and generated loops, and recurrencesAdmit agrees with the
+ *    reference around each RecMII.
  *
  * This binary links the counting allocator (counting_alloc.cc), which
  * replaces the global operator new, so these tests live apart from
@@ -23,17 +27,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "analysis/depgraph.hh"
+#include "analysis/recmii.hh"
 #include "analysis/vectorizable.hh"
 #include "core/costmodel.hh"
 #include "core/partition.hh"
+#include "core/transform.hh"
 #include "counting_alloc.hh"
+#include "kernel_files.hh"
+#include "lir/lir.hh"
 #include "machine/machine.hh"
 #include "pipeline/lowering.hh"
 #include "pipeline/modsched.hh"
 #include "support/checkmode.hh"
 #include "support/random.hh"
 #include "workloads/generator.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -195,6 +208,168 @@ TEST(Hotpath, SteadyStateMovesAllocateNothing)
     uint64_t after = countedAllocations();
     EXPECT_EQ(before, after)
         << "testSwitch/commitSwitch allocated in steady state";
+}
+
+// ----------------------------------------------------------------- RecMII
+
+/*
+ * The RecMII search computeRecMii replaced, kept verbatim as its
+ * reference: binary search on the II over [1, 1 + the sum of every
+ * positive latency], each step a Floyd-Warshall longest-path closure
+ * over the whole graph.
+ */
+
+bool
+referenceAdmits(const DepGraph &graph, int64_t ii)
+{
+    constexpr int64_t ninf = INT64_MIN / 4;
+    size_t n = static_cast<size_t>(graph.numOps());
+    if (n == 0)
+        return true;
+
+    std::vector<std::vector<int64_t>> d(n,
+                                        std::vector<int64_t>(n, ninf));
+    for (const DepEdge &e : graph.edges()) {
+        int64_t w = e.latency - ii * e.distance;
+        auto &cell = d[static_cast<size_t>(e.src)]
+                      [static_cast<size_t>(e.dst)];
+        cell = std::max(cell, w);
+    }
+    for (size_t via = 0; via < n; ++via) {
+        for (size_t i = 0; i < n; ++i) {
+            if (d[i][via] == ninf)
+                continue;
+            for (size_t j = 0; j < n; ++j) {
+                if (d[via][j] == ninf)
+                    continue;
+                int64_t cand = d[i][via] + d[via][j];
+                // Clamp so repeated positive cycles cannot overflow.
+                cand = std::min(cand, INT64_MAX / 8);
+                if (cand > d[i][j])
+                    d[i][j] = cand;
+            }
+        }
+    }
+    for (size_t i = 0; i < n; ++i) {
+        if (d[i][i] > 0)
+            return false;
+    }
+    return true;
+}
+
+int64_t
+referenceRecMii(const DepGraph &graph)
+{
+    int64_t hi = 1;
+    bool any_cycle_possible = false;
+    for (const DepEdge &e : graph.edges()) {
+        hi += std::max<int64_t>(e.latency, 0);
+        if (e.distance > 0)
+            any_cycle_possible = true;
+    }
+    if (!any_cycle_possible)
+        return 1;
+
+    SV_ASSERT(referenceAdmits(graph, hi),
+              "RecMII upper bound %lld infeasible",
+              static_cast<long long>(hi));
+
+    int64_t lo = 1;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (referenceAdmits(graph, mid))
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+/** The four stock machines. */
+std::vector<Machine>
+stockMachines()
+{
+    return {paperMachine(), directMoveMachine(), wideMachine(),
+            embeddedMachine()};
+}
+
+/**
+ * Lower `loop` for `machine`, then expect computeRecMii to equal the
+ * reference and recurrencesAdmit to agree with it at RecMII - 1,
+ * RecMII and RecMII + 1.
+ */
+void
+expectRecMiiMatchesReference(const ArrayTable &arrays, const Loop &loop,
+                             const Machine &machine,
+                             const std::string &what)
+{
+    Loop lowered = lowerForScheduling(loop, machine);
+    DepGraph graph(arrays, lowered, machine);
+    int64_t want = referenceRecMii(graph);
+    ASSERT_EQ(computeRecMii(graph), want) << what;
+    for (int64_t ii = want - 1; ii <= want + 1; ++ii) {
+        EXPECT_EQ(recurrencesAdmit(graph, ii),
+                  referenceAdmits(graph, ii))
+            << what << " at II " << ii;
+    }
+}
+
+/** The check above on `loop` in source, unrolled and Selective-
+ *  transformed form. */
+void
+expectFormsMatchReference(const ArrayTable &arrays, const Loop &loop,
+                          const Machine &machine,
+                          const std::string &what)
+{
+    expectRecMiiMatchesReference(arrays, loop, machine,
+                                 what + " source");
+    expectRecMiiMatchesReference(arrays,
+                                 unrollLoop(loop, arrays, machine),
+                                 machine, what + " unrolled");
+    DepGraph graph(arrays, loop, machine);
+    VectAnalysis va = analyzeVectorizable(loop, graph, machine);
+    PartitionResult part = partitionOps(loop, va, machine);
+    expectRecMiiMatchesReference(
+        arrays,
+        transformLoop(loop, arrays, va, part.vectorize, machine),
+        machine, what + " selective");
+}
+
+TEST(Hotpath, RecMiiMatchesReferenceOnKernelsAndSuites)
+{
+    for (const Machine &machine : stockMachines()) {
+        for (const std::string &file : kernelFiles()) {
+            Module module = parseLirOrDie(readKernel(file));
+            for (const Loop &loop : module.loops) {
+                expectFormsMatchReference(module.arrays, loop, machine,
+                                          machine.name + " " + file);
+            }
+        }
+        for (const Suite &suite : allSuites()) {
+            for (const WorkloadLoop &wl : suite.loops) {
+                const Loop &loop = suite.loopOf(wl);
+                expectFormsMatchReference(
+                    suite.module.arrays, loop, machine,
+                    machine.name + " " + suite.name + "/" + loop.name);
+            }
+        }
+    }
+}
+
+TEST(Hotpath, RecMiiMatchesReferenceOnGeneratedLoops)
+{
+    std::vector<Machine> machines = stockMachines();
+    GeneratorOptions options;
+    options.minOps = 6;
+    options.maxOps = 96;
+    for (uint64_t seed = 0; seed < 200; ++seed) {
+        Rng rng(0x4EC0u + seed * 7919u);
+        GeneratedLoop gen = generateLoop(rng, options);
+        const Machine &machine = machines[seed % machines.size()];
+        expectFormsMatchReference(
+            gen.module.arrays, gen.loop(), machine,
+            machine.name + " seed " + std::to_string(seed));
+    }
 }
 
 } // anonymous namespace
