@@ -34,7 +34,9 @@
  * With --repro-dir every non-clean seed writes a selvec-repro-v1
  * bundle (seed<N>.repro.json); --replay-check re-loads each written
  * bundle and asserts selvec_replay-style reproduction, closing the
- * loop on bundle fidelity.
+ * loop on bundle fidelity. --replay-check without --repro-dir is a
+ * usage error (exit 2): no bundle would be written, so the check
+ * would replay nothing.
  *
  * --optgap switches to the differential partition-oracle sweep: each
  * seed's loop is partitioned twice — the KL heuristic against the
@@ -377,6 +379,11 @@ main(int argc, char **argv)
         } else {
             return usage();
         }
+    }
+    if (config.replayCheck && config.reproDir.empty()) {
+        std::fprintf(stderr, "--replay-check needs --repro-dir: it "
+                             "replays the bundles written there\n");
+        return usage();
     }
     setCheckSim(true);
     if (config.optgap)

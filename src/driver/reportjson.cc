@@ -85,8 +85,6 @@ jsonOfLoopFailure(const LoopFailure &failure)
     obj.set("elapsed_ms",
             includeTimings() ? failure.elapsedNs / 1000000
                              : static_cast<int64_t>(0));
-    if (failure.hasAudit)
-        obj.set("audit", jsonOfCompileReport(failure.audit));
     return obj;
 }
 
@@ -167,43 +165,6 @@ jsonOfCompiledProgram(const CompiledProgram &program)
         loops.append(std::move(entry));
     }
     obj.set("loops", std::move(loops));
-    return obj;
-}
-
-JsonValue
-jsonOfCompileReport(const CompileReport &report)
-{
-    JsonValue obj = JsonValue::object();
-    obj.set("requested", techniqueName(report.requested));
-    obj.set("succeeded", report.succeeded);
-    obj.set("degraded", report.degraded());
-    obj.set("final_technique",
-            report.usedScalarFallback
-                ? "scalar"
-                : techniqueName(report.finalTechnique));
-    obj.set("scalar_fallback", report.usedScalarFallback);
-    if (!report.finalStatus.ok())
-        obj.set("final_status", report.finalStatus.str());
-
-    JsonValue attempts = JsonValue::array();
-    for (const CompileAttempt &a : report.attempts) {
-        JsonValue entry = JsonValue::object();
-        entry.set("tier", a.scalarFallback
-                              ? "scalar"
-                              : techniqueName(a.technique));
-        entry.set("ok", a.status.ok());
-        if (!a.status.ok()) {
-            entry.set("error_code", errorCodeName(a.status.code()));
-            entry.set("stage", a.status.stage());
-            entry.set("message", a.status.message());
-        } else {
-            entry.set("ii_per_iter", a.iiPerIteration);
-        }
-        if (!a.fallbackReason.empty())
-            entry.set("fallback_reason", a.fallbackReason);
-        attempts.append(std::move(entry));
-    }
-    obj.set("attempts", std::move(attempts));
     return obj;
 }
 

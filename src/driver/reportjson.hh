@@ -1,9 +1,8 @@
 /**
  * @file
  * The machine-readable report surface: schema-stable JSON documents
- * for suite evaluations, compiled programs and resilient-compile audit
- * trails, plus the standard bench document wrapper every bench binary
- * emits under --json.
+ * for suite evaluations and compiled programs, plus the standard bench
+ * document wrapper every bench binary emits under --json.
  *
  * Schema id: "selvec-bench-v1". Key names are API — CI and
  * tools/bench_compare.py parse them; see DESIGN.md ("Observability")
@@ -30,9 +29,8 @@ extern const char *const kBenchSchema;
 JsonValue jsonOfLoopReport(const LoopReport &lr);
 
 /** One quarantined loop: name, technique, structured error code,
- *  stage, message, elapsed_ms (zeroed unless SELVEC_TIMINGS — see
- *  attachObservability) and the degradation audit when the failure
- *  happened at compile time. */
+ *  stage, message and elapsed_ms (zeroed unless SELVEC_TIMINGS — see
+ *  attachObservability). */
 JsonValue jsonOfLoopFailure(const LoopFailure &failure);
 
 /** One suite under one technique (loops in suite order). A
@@ -53,10 +51,6 @@ JsonValue jsonOfSuiteComparison(
 /** Compiled-program summary: per compiled loop II, ResMII, RecMII,
  *  coverage; per-iteration aggregates. */
 JsonValue jsonOfCompiledProgram(const CompiledProgram &program);
-
-/** Resilient-compile audit trail: every tier attempted, the tier
- *  taken, each failure's structured status. */
-JsonValue jsonOfCompileReport(const CompileReport &report);
 
 /**
  * A fresh top-level bench document: {"schema", "generator", "mode"}

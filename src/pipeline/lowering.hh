@@ -33,7 +33,7 @@ Loop lowerForScheduling(const Loop &loop, const Machine &machine);
 /**
  * Lowering as a recoverable stage: carries the "lowering.lower" fault
  * injection point and verifies the lowered loop, so a lowering bug (or
- * an injected failure) degrades instead of crashing.
+ * an injected failure) comes back as a status instead of crashing.
  */
 Expected<Loop> tryLowerForScheduling(const Loop &loop,
                                      const ArrayTable &arrays,

@@ -993,19 +993,20 @@ checkAgainstReference(const Loop &loop, const Machine &machine,
     }
 }
 
-/** The body shared by executeLoop and tryExecuteLoop. A non-null
- *  `limits` makes the run bounded: a trip unwinds as ExecAbort. A
- *  clean bounded run records exactly the stats of an unbounded one. */
+/** The body of tryExecuteLoop: the run is bounded by `limits`, and a
+ *  trip unwinds as ExecAbort. An engine's null `limits` serves only
+ *  the SELVEC_CHECK_SIM reference re-run (checkAgainstReference),
+ *  which must not trip on the deadline of the run it checks. */
 RunOutput
 runLoop(const Loop &loop, const Machine &machine, MemoryImage &mem,
         const LiveEnv &live_ins, int64_t n_body, int64_t base,
-        const ModuloSchedule *schedule, const ExecLimits *limits,
+        const ModuloSchedule *schedule, const ExecLimits &limits,
         const ExecPlan *plan)
 {
     StatsRegistry &stats = globalStats();
     if (schedule == nullptr) {
         RunOutput out = ReferenceEngine(loop, machine, mem, live_ins,
-                                        n_body, base, limits)
+                                        n_body, base, &limits)
                             .run();
         stats.add("sim.referenceRuns");
         stats.add("sim.bodyIterations", out.bodyIterations);
@@ -1026,7 +1027,7 @@ runLoop(const Loop &loop, const Machine &machine, MemoryImage &mem,
     if (checkSimEnabled())
         before.emplace(mem);
     StreamEngine engine(loop, machine, mem, live_ins, n_body, base,
-                        limits, p);
+                        &limits, p);
     RunOutput out = engine.run();
     if (before) {
         checkAgainstReference(loop, machine, live_ins, n_body, base,
@@ -1041,19 +1042,6 @@ runLoop(const Loop &loop, const Machine &machine, MemoryImage &mem,
 }
 
 } // anonymous namespace
-
-RunOutput
-executeLoop(const ArrayTable &, const Loop &loop,
-            const Machine &machine, MemoryImage &mem,
-            const LiveEnv &live_ins, int64_t n_body, int64_t base,
-            const ModuloSchedule *schedule, const ExecPlan *plan)
-{
-    SV_ASSERT(n_body >= 0, "negative iteration count");
-    TraceSpan span(schedule != nullptr ? "sim.pipelined"
-                                       : "sim.reference");
-    return runLoop(loop, machine, mem, live_ins, n_body, base,
-                   schedule, nullptr, plan);
-}
 
 Expected<RunOutput>
 tryExecuteLoop(const ArrayTable &, const Loop &loop,
@@ -1073,7 +1061,7 @@ tryExecuteLoop(const ArrayTable &, const Loop &loop,
                                        : "sim.reference");
     try {
         return runLoop(loop, machine, mem, live_ins, n_body, base,
-                       schedule, &limits, plan);
+                       schedule, limits, plan);
     } catch (const ExecAbort &abort) {
         globalStats().add("sim.aborts");
         return abort.status;

@@ -91,31 +91,6 @@ struct RunOutput
     int64_t exitOrig = 0;
 };
 
-/**
- * Execute `loop` for `n_body` body iterations.
- *
- * @param loop the loop (any coverage)
- * @param machine supplies vector length and latencies
- * @param mem simulated memory, updated in place
- * @param live_ins bindings for every live-in (names starting with
- *        "__" default to zero when unbound)
- * @param n_body number of body iterations to run
- * @param base iteration-index offset: references evaluate at
- *        base + j (a cleanup loop continuing after J covered
- *        iterations passes base = J * coverage of the main loop)
- * @param schedule nullptr for sequential reference execution, or the
- *        loop's modulo schedule for pipelined execution
- * @param plan optional prebuilt plan for (loop, schedule, machine)
- *        (see buildExecPlan); nullptr builds one for this run.
- *        Ignored in sequential mode.
- */
-RunOutput executeLoop(const ArrayTable &arrays, const Loop &loop,
-                      const Machine &machine, MemoryImage &mem,
-                      const LiveEnv &live_ins, int64_t n_body,
-                      int64_t base = 0,
-                      const ModuloSchedule *schedule = nullptr,
-                      const ExecPlan *plan = nullptr);
-
 /** Bounds on one bounded execution (tryExecuteLoop). */
 struct ExecLimits
 {
@@ -135,13 +110,30 @@ struct ExecLimits
 };
 
 /**
- * Execute `loop` under the containment contract (DESIGN.md §10):
- * like executeLoop, but the cycle watchdog of `limits` and the
+ * Execute `loop` for `n_body` body iterations under the containment
+ * contract (DESIGN.md §10): the cycle watchdog of `limits` and the
  * ambient deadline/cancellation context are checked during the run,
  * and a trip returns a structured WatchdogTripped / DeadlineExceeded
  * / Cancelled status instead of spinning. On failure `mem` (and any
  * other out-of-band state) is partially executed — quarantine
  * callers must treat the loop's results as void.
+ *
+ * @param loop the loop (any coverage)
+ * @param machine supplies vector length and latencies
+ * @param mem simulated memory, updated in place
+ * @param live_ins bindings for every live-in (names starting with
+ *        "__" default to zero when unbound)
+ * @param n_body number of body iterations to run (negative is an
+ *        InvalidInput status)
+ * @param base iteration-index offset: references evaluate at
+ *        base + j (a cleanup loop continuing after J covered
+ *        iterations passes base = J * coverage of the main loop)
+ * @param schedule nullptr for sequential reference execution, or the
+ *        loop's modulo schedule for pipelined execution
+ * @param limits the cycle watchdog (the default arms none)
+ * @param plan optional prebuilt plan for (loop, schedule, machine)
+ *        (see buildExecPlan); nullptr builds one for this run.
+ *        Ignored in sequential mode.
  */
 Expected<RunOutput>
 tryExecuteLoop(const ArrayTable &arrays, const Loop &loop,

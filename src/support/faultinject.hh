@@ -7,8 +7,8 @@
  * lowering and schedule validation. A FaultPlan arms sites by name
  * with a hit counter — skip the first `skip` hits, then fail the next
  * `failures` hits (negative: fail forever) — so a test can force the
- * Nth partitioning of a run to fail and assert the driver degrades
- * gracefully instead of dying.
+ * Nth partitioning of a run to fail and assert the failure comes back
+ * as a structured status instead of killing the process.
  *
  * With no plan installed every site is free: one branch on an atomic
  * flag, nothing else. Installation and hit accounting are mutex-
@@ -16,9 +16,9 @@
  * a hit that raced past the armed check before a clear/install is
  * re-validated under the lock so it can never consume a window
  * position of the plan now in force. Hit *windows* are still ordered
- * by arrival: a deterministic degradation chain additionally needs
- * the compiles themselves serialized, which the driver guarantees by
- * dropping to one job while faultPlanArmed() (see DESIGN.md §8).
+ * by arrival: for the hits to land on the loops a plan names, the
+ * compiles themselves must be serialized, which the driver guarantees
+ * by dropping to one job while faultPlanArmed() (see DESIGN.md §8).
  */
 
 #ifndef SELVEC_SUPPORT_FAULTINJECT_HH

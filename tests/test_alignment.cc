@@ -70,8 +70,11 @@ loop t {
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(31);
     got.fillPattern(31);
-    executeLoop(c.module.arrays, c.loop(), c.machine, ref, {}, 64);
-    executeLoop(c.module.arrays, vec, c.machine, got, {}, 32);
+    ASSERT_TRUE(tryExecuteLoop(c.module.arrays, c.loop(), c.machine, ref, {},
+                               64)
+                    .ok());
+    ASSERT_TRUE(tryExecuteLoop(c.module.arrays, vec, c.machine, got, {}, 32)
+                    .ok());
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -97,8 +100,11 @@ loop t {
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(33);
     got.fillPattern(33);
-    executeLoop(c.module.arrays, c.loop(), c.machine, ref, {}, 64);
-    executeLoop(c.module.arrays, vec, c.machine, got, {}, 32);
+    ASSERT_TRUE(tryExecuteLoop(c.module.arrays, c.loop(), c.machine, ref, {},
+                               64)
+                    .ok());
+    ASSERT_TRUE(tryExecuteLoop(c.module.arrays, vec, c.machine, got, {}, 32)
+                    .ok());
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -126,8 +132,11 @@ loop t {
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(35);
     got.fillPattern(35);
-    executeLoop(c.module.arrays, c.loop(), c.machine, ref, env, 50);
-    executeLoop(c.module.arrays, vec, c.machine, got, env, 25);
+    ASSERT_TRUE(tryExecuteLoop(c.module.arrays, c.loop(), c.machine, ref, env,
+                               50)
+                    .ok());
+    ASSERT_TRUE(tryExecuteLoop(c.module.arrays, vec, c.machine, got, env, 25)
+                    .ok());
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -158,8 +167,11 @@ loop t {
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(37);
     got.fillPattern(37);
-    executeLoop(c.module.arrays, c.loop(), c.machine, ref, env, 64);
-    executeLoop(c.module.arrays, vec, c.machine, got, env, 32);
+    ASSERT_TRUE(tryExecuteLoop(c.module.arrays, c.loop(), c.machine, ref, env,
+                               64)
+                    .ok());
+    ASSERT_TRUE(tryExecuteLoop(c.module.arrays, vec, c.machine, got, env, 32)
+                    .ok());
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -208,8 +220,11 @@ loop t {
     MemoryImage ref(d.module.arrays), got(d.module.arrays);
     ref.fillPattern(39);
     got.fillPattern(39);
-    executeLoop(d.module.arrays, d.loop(), d.machine, ref, env, 64);
-    executeLoop(d.module.arrays, vec, d.machine, got, env, 32);
+    ASSERT_TRUE(tryExecuteLoop(d.module.arrays, d.loop(), d.machine, ref, env,
+                               64)
+                    .ok());
+    ASSERT_TRUE(tryExecuteLoop(d.module.arrays, vec, d.machine, got, env, 32)
+                    .ok());
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -238,8 +253,10 @@ loop t {
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(41);
     got.fillPattern(41);
-    executeLoop(c.module.arrays, c.loop(), aligned, ref, {}, 64);
-    executeLoop(c.module.arrays, vec, aligned, got, {}, 32);
+    ASSERT_TRUE(tryExecuteLoop(c.module.arrays, c.loop(), aligned, ref, {}, 64)
+                    .ok());
+    ASSERT_TRUE(tryExecuteLoop(c.module.arrays, vec, aligned, got, {}, 32)
+                    .ok());
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -343,8 +360,12 @@ loop t {
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(95);
     got.fillPattern(95);
-    executeLoop(c.module.arrays, c.loop(), machine, ref, env, 96);
-    executeLoop(c.module.arrays, vec, machine, got, env, 96 / vl);
+    ASSERT_TRUE(tryExecuteLoop(c.module.arrays, c.loop(), machine, ref, env,
+                               96)
+                    .ok());
+    ASSERT_TRUE(tryExecuteLoop(c.module.arrays, vec, machine, got, env,
+                               96 / vl)
+                    .ok());
     EXPECT_EQ(got.diff(ref), "");
 }
 

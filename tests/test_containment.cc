@@ -370,22 +370,6 @@ TEST(DeadlineTrip, SequentialPollCadenceStillLandsTheTrip)
     }
 }
 
-TEST(DeadlineTrip, SequentialRunWithoutLimitsNeverPolls)
-{
-    // executeLoop (no limits) must stay deadline-free: an expired
-    // ambient deadline does not abort an unbounded reference run.
-    Module module = parseLirOrDie(kDotProduct);
-    MemoryImage mem(module.arrays);
-    mem.fillPattern(1);
-    LiveEnv env;
-    env["s0"] = RtVal::scalarF(0.0);
-
-    ScopedDeadline guard(Deadline::afterMs(0));
-    RunOutput out = executeLoop(module.arrays, module.loops.front(),
-                                toyMachine(), mem, env, 2000);
-    EXPECT_EQ(out.bodyIterations, 2000);
-}
-
 // ---------------------------------------------------------------------
 // The simulator cycle watchdog.
 
@@ -496,11 +480,9 @@ TEST(Quarantine, HungAndDivergentLoopsAreContained)
     EXPECT_EQ(report.failures[0].name, "beta");
     EXPECT_EQ(report.failures[0].status.code(),
               ErrorCode::DeadlineExceeded);
-    EXPECT_TRUE(report.failures[0].hasAudit);
     EXPECT_EQ(report.failures[1].name, "gamma");
     EXPECT_EQ(report.failures[1].status.code(),
               ErrorCode::WatchdogTripped);
-    EXPECT_FALSE(report.failures[1].hasAudit);
 
     // The surviving sibling is byte-identical to its clean-run self.
     SuiteReport clean = evaluateSuite(suite, machine,
@@ -510,6 +492,48 @@ TEST(Quarantine, HungAndDivergentLoopsAreContained)
     EXPECT_EQ(jsonOfLoopReport(report.loops[0]).dump(),
               jsonOfLoopReport(clean.loops[0]).dump());
     EXPECT_EQ(report.totalCycles, clean.loops[0].weightedCycles);
+}
+
+TEST(Quarantine, FaultPlanHitsTheLoopsItNames)
+{
+    Suite suite = trioSuite();
+    Machine machine = paperMachine();
+
+    SuiteReport report;
+    {
+        // A ModuloOnly compile searches its main loop's schedule
+        // first, so the plan's two hits are alpha's and beta's main
+        // schedules. A failed compile is quarantined once: nothing
+        // compiles the loop again and spends a hit meant for a
+        // sibling.
+        FaultPlan plan = parseFaultPlan("modsched.search:2").value();
+        ScopedFaultPlan armed(plan);
+
+        EvaluateOptions options;
+        options.jobs = 1;
+        report = evaluateSuite(suite, machine, Technique::ModuloOnly,
+                               options);
+    }
+
+    ASSERT_EQ(report.failures.size(), 2u);
+    EXPECT_EQ(report.failures[0].name, "alpha");
+    EXPECT_EQ(report.failures[1].name, "beta");
+    for (const LoopFailure &f : report.failures) {
+        EXPECT_EQ(f.status.code(), ErrorCode::ScheduleBudgetExhausted)
+            << f.status.str();
+        EXPECT_EQ(f.status.stage(), "modsched");
+    }
+
+    // The loop the plan spared is byte-identical to its clean-run
+    // self.
+    ASSERT_EQ(report.loops.size(), 1u);
+    EXPECT_EQ(report.loops[0].name, "gamma");
+    SuiteReport clean = evaluateSuite(suite, machine,
+                                      Technique::ModuloOnly);
+    ASSERT_EQ(clean.loops.size(), 3u);
+    EXPECT_EQ(jsonOfLoopReport(report.loops[0]).dump(),
+              jsonOfLoopReport(clean.loops[2]).dump());
+    EXPECT_EQ(report.totalCycles, clean.loops[2].weightedCycles);
 }
 
 TEST(Quarantine, CleanBoundedRunIsByteIdenticalToUnbounded)

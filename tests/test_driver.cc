@@ -11,7 +11,6 @@
 #include "lir/lir.hh"
 #include "machine/machine.hh"
 #include "support/deadline.hh"
-#include "support/faultinject.hh"
 #include "support/stats.hh"
 #include "workloads/workloads.hh"
 
@@ -390,52 +389,6 @@ TEST(ReportJson, SuiteComparisonCarriesSpeedupAndMiis)
     Expected<JsonValue> back = parseJson(json.dump(2));
     ASSERT_TRUE(back.ok()) << back.status().str();
     EXPECT_EQ(back.value(), json);
-}
-
-TEST(ReportJson, CompileReportRecordsDegradationTier)
-{
-    Module m = parseLirOrDie(kSaxpy);
-    ArrayTable arrays = m.arrays;
-
-    // Undisturbed: one successful attempt, no degradation.
-    ResilientCompile clean = compileLoopResilient(
-        m.loops[0], arrays, paperMachine(), Technique::Selective);
-    ASSERT_TRUE(clean.ok());
-    JsonValue cj = jsonOfCompileReport(clean.report);
-    EXPECT_EQ(cj.find("requested")->stringValue(), "selective");
-    EXPECT_EQ(cj.find("final_technique")->stringValue(), "selective");
-    EXPECT_FALSE(cj.find("degraded")->boolValue());
-    EXPECT_TRUE(cj.find("succeeded")->boolValue());
-    ASSERT_EQ(cj.find("attempts")->size(), 1u);
-
-    // Persistent partitioner fault: the selective tier fails, the
-    // chain lands on full vectorization, and the JSON names the tier
-    // actually taken.
-    Expected<FaultPlan> plan = parseFaultPlan("partition.kl:*");
-    ASSERT_TRUE(plan.ok());
-    ResilientCompile degraded = [&] {
-        ScopedFaultPlan scoped(plan.takeValue());
-        return compileLoopResilient(m.loops[0], arrays,
-                                    paperMachine(),
-                                    Technique::Selective);
-    }();
-    ASSERT_TRUE(degraded.ok()) << degraded.report.str();
-    JsonValue dj = jsonOfCompileReport(degraded.report);
-    EXPECT_TRUE(dj.find("degraded")->boolValue());
-    EXPECT_EQ(dj.find("requested")->stringValue(), "selective");
-    EXPECT_EQ(dj.find("final_technique")->stringValue(), "full");
-    EXPECT_FALSE(dj.find("scalar_fallback")->boolValue());
-    const JsonValue *attempts = dj.find("attempts");
-    ASSERT_GE(attempts->size(), 2u);
-    const JsonValue &first = attempts->items()[0];
-    EXPECT_EQ(first.find("tier")->stringValue(), "selective");
-    EXPECT_FALSE(first.find("ok")->boolValue());
-    EXPECT_EQ(first.find("error_code")->stringValue(),
-              "partition-failed");
-    const JsonValue &last =
-        attempts->items()[attempts->size() - 1];
-    EXPECT_TRUE(last.find("ok")->boolValue());
-    EXPECT_FALSE(last.find("fallback_reason")->stringValue().empty());
 }
 
 } // anonymous namespace

@@ -82,7 +82,8 @@ loop t {
     env["b"] = RtVal::scalarI(5);
     env["x"] = RtVal::scalarF(2.0);
     env["y"] = RtVal::scalarF(-1.0);
-    executeLoop(m.arrays, m.loops[0], machine, mem, env, 1);
+    ASSERT_TRUE(
+        tryExecuteLoop(m.arrays, m.loops[0], machine, mem, env, 1).ok());
     EXPECT_EQ(mem.loadI(0, 0), 1);
     EXPECT_EQ(mem.loadI(0, 8), 0);
 }
@@ -97,8 +98,10 @@ TEST(EarlyExit, ReferenceStopsAtTheExit)
     for (int i = 0; i < 10; ++i)
         mem.storeF(0, i, 1.0);
 
-    RunOutput out = executeLoop(p.module.arrays, p.loop(), p.machine,
-                                mem, p.env, 100);
+    Expected<RunOutput> run = tryExecuteLoop(
+        p.module.arrays, p.loop(), p.machine, mem, p.env, 100);
+    ASSERT_TRUE(run.ok()) << run.status().str();
+    const RunOutput &out = run.value();
     EXPECT_TRUE(out.exited);
     EXPECT_EQ(out.exitOrig, 10);
     // Stores up to and including iteration 10 committed; iteration

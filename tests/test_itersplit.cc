@@ -91,8 +91,12 @@ TEST(IterSplit, Equivalence)
     MemoryImage ref(c.module.arrays), got(c.module.arrays);
     ref.fillPattern(51);
     got.fillPattern(51);
-    executeLoop(c.module.arrays, c.loop(), c.machine, ref, env, 60);
-    executeLoop(c.module.arrays, r.loop, c.machine, got, env, 20);
+    ASSERT_TRUE(
+        tryExecuteLoop(c.module.arrays, c.loop(), c.machine, ref, env, 60)
+            .ok());
+    ASSERT_TRUE(
+        tryExecuteLoop(c.module.arrays, r.loop, c.machine, got, env, 20)
+            .ok());
     EXPECT_EQ(got.diff(ref), "");
 }
 
@@ -197,14 +201,18 @@ TEST(IterSplit, WiderUnrollFactors)
         MemoryImage ref(c.module.arrays), got(c.module.arrays);
         ref.fillPattern(55);
         got.fillPattern(55);
-        executeLoop(c.module.arrays, c.loop(), c.machine, ref, env,
-                    60);
-        executeLoop(c.module.arrays, r.loop, c.machine, got, env,
-                    60 / unroll, 0);
+        ASSERT_TRUE(tryExecuteLoop(c.module.arrays, c.loop(), c.machine,
+                                   ref, env, 60)
+                        .ok());
+        ASSERT_TRUE(tryExecuteLoop(c.module.arrays, r.loop, c.machine,
+                                   got, env, 60 / unroll, 0)
+                        .ok());
         // Compare only the fully covered prefix: run the remainder
         // sequentially from the right base.
-        executeLoop(c.module.arrays, c.loop(), c.machine, got, env,
-                    60 % unroll, (60 / unroll) * unroll);
+        ASSERT_TRUE(tryExecuteLoop(c.module.arrays, c.loop(), c.machine,
+                                   got, env, 60 % unroll,
+                                   (60 / unroll) * unroll)
+                        .ok());
         EXPECT_EQ(got.diff(ref), "");
     }
 }

@@ -296,8 +296,10 @@ TEST(Engine, SequentialAccumulation)
         mem.storeF(0, i, static_cast<double>(i));
     LiveEnv env;
     env["s0"] = RtVal::scalarF(100.0);
-    RunOutput out =
-        executeLoop(m.arrays, m.loops[0], mach, mem, env, 8);
+    Expected<RunOutput> run =
+        tryExecuteLoop(m.arrays, m.loops[0], mach, mem, env, 8);
+    ASSERT_TRUE(run.ok()) << run.status().str();
+    const RunOutput &out = run.value();
     EXPECT_DOUBLE_EQ(out.liveOuts.at("s1").laneF(0), 128.0);
     EXPECT_DOUBLE_EQ(out.carriedFinal.at("s").laneF(0), 128.0);
 }
@@ -309,8 +311,10 @@ TEST(Engine, ZeroIterations)
     MemoryImage mem(m.arrays);
     LiveEnv env;
     env["s0"] = RtVal::scalarF(7.0);
-    RunOutput out =
-        executeLoop(m.arrays, m.loops[0], mach, mem, env, 0);
+    Expected<RunOutput> run =
+        tryExecuteLoop(m.arrays, m.loops[0], mach, mem, env, 0);
+    ASSERT_TRUE(run.ok()) << run.status().str();
+    const RunOutput &out = run.value();
     // The continuation state is the init; body live-outs are absent.
     EXPECT_DOUBLE_EQ(out.carriedFinal.at("s").laneF(0), 7.0);
     EXPECT_FALSE(out.liveOuts.count("s1"));
@@ -327,8 +331,10 @@ TEST(Engine, BaseOffsetsMemoryAccesses)
     LiveEnv env;
     env["s0"] = RtVal::scalarF(0.0);
     // Iterations 8..11 (base 8).
-    RunOutput out =
-        executeLoop(m.arrays, m.loops[0], mach, mem, env, 4, 8);
+    Expected<RunOutput> run =
+        tryExecuteLoop(m.arrays, m.loops[0], mach, mem, env, 4, 8);
+    ASSERT_TRUE(run.ok()) << run.status().str();
+    const RunOutput &out = run.value();
     EXPECT_DOUBLE_EQ(out.liveOuts.at("s1").laneF(0),
                      8.0 + 9.0 + 10.0 + 11.0);
 }
@@ -338,7 +344,7 @@ TEST(Engine, UnboundLiveInDies)
     Module m = parseLirOrDie(kAccum);
     Machine mach = paperMachine();
     MemoryImage mem(m.arrays);
-    EXPECT_DEATH(executeLoop(m.arrays, m.loops[0], mach, mem, {}, 4),
+    EXPECT_DEATH(tryExecuteLoop(m.arrays, m.loops[0], mach, mem, {}, 4),
                  "unbound");
 }
 
@@ -357,10 +363,14 @@ TEST(Engine, PipelinedMatchesSequentialAndCountsCycles)
     LiveEnv env;
     env["s0"] = RtVal::scalarF(1.0);
 
-    RunOutput seq =
-        executeLoop(m.arrays, lowered, mach, seq_mem, env, 32);
-    RunOutput pipe = executeLoop(m.arrays, lowered, mach, pipe_mem,
-                                 env, 32, 0, &sr.schedule);
+    Expected<RunOutput> seq_run =
+        tryExecuteLoop(m.arrays, lowered, mach, seq_mem, env, 32);
+    ASSERT_TRUE(seq_run.ok()) << seq_run.status().str();
+    Expected<RunOutput> pipe_run = tryExecuteLoop(
+        m.arrays, lowered, mach, pipe_mem, env, 32, 0, &sr.schedule);
+    ASSERT_TRUE(pipe_run.ok()) << pipe_run.status().str();
+    const RunOutput &seq = seq_run.value();
+    const RunOutput &pipe = pipe_run.value();
 
     EXPECT_EQ(seq.liveOuts.at("s1"), pipe.liveOuts.at("s1"));
     EXPECT_EQ(pipe_mem.diff(seq_mem), "");
@@ -391,8 +401,9 @@ loop t cover 2 {
     mem.storeF(0, 1, 3.0);
     LiveEnv env;
     env["c"] = RtVal::scalarF(10.0);
-    executeLoop(pr.module.arrays, pr.module.loops[0], mach, mem, env,
-                1);
+    ASSERT_TRUE(tryExecuteLoop(pr.module.arrays, pr.module.loops[0],
+                               mach, mem, env, 1)
+                    .ok());
     EXPECT_DOUBLE_EQ(mem.loadF(0, 32), 20.0);
     EXPECT_DOUBLE_EQ(mem.loadF(0, 33), 30.0);
 }
@@ -413,7 +424,10 @@ loop t {
     Machine mach = paperMachine();
     Loop lowered = lowerForScheduling(m.loops[0], mach);
     MemoryImage mem(m.arrays);
-    RunOutput out = executeLoop(m.arrays, lowered, mach, mem, {}, 8);
+    Expected<RunOutput> run =
+        tryExecuteLoop(m.arrays, lowered, mach, mem, {}, 8);
+    ASSERT_TRUE(run.ok()) << run.status().str();
+    const RunOutput &out = run.value();
     EXPECT_EQ(out.dynOps[static_cast<size_t>(OpClass::MemLoad)], 8);
     EXPECT_EQ(out.dynOps[static_cast<size_t>(OpClass::MemStore)], 8);
     EXPECT_EQ(out.dynOps[static_cast<size_t>(OpClass::FpMul)], 8);
@@ -443,8 +457,10 @@ loop t {
         mem.storeF(0, i, i == 5 ? 9.0 : 1.0);
     LiveEnv env;
     env["lim"] = RtVal::scalarF(5.0);
-    RunOutput out =
-        executeLoop(m.arrays, m.loops[0], mach, mem, env, 20);
+    Expected<RunOutput> run =
+        tryExecuteLoop(m.arrays, m.loops[0], mach, mem, env, 20);
+    ASSERT_TRUE(run.ok()) << run.status().str();
+    const RunOutput &out = run.value();
     ASSERT_TRUE(out.exited);
     EXPECT_EQ(out.exitOrig, 5);
     // Stores 0..5 committed and counted; later ones suppressed.

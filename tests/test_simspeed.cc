@@ -338,14 +338,16 @@ TEST(SimCheckDeathTest, BrokenMemoryDependenceAborts)
     auto run = [&](const ModuloSchedule &schedule) {
         MemoryImage mem(m.arrays);
         mem.fillPattern(1);
-        return executeLoop(m.arrays, lowered, machine, mem, env, 32, 0,
-                           &schedule);
+        return tryExecuteLoop(m.arrays, lowered, machine, mem, env, 32,
+                              0, &schedule);
     };
 
     bool prior = checkSimEnabled();
     setCheckSim(true);
-    EXPECT_EQ(run(sr.schedule).bodyIterations, 32);
+    Expected<RunOutput> good = run(sr.schedule);
     setCheckSim(prior);
+    ASSERT_TRUE(good.ok()) << good.status().str();
+    EXPECT_EQ(good.value().bodyIterations, 32);
 
     ModuloSchedule broken = sr.schedule;
     broken.ii = 1;
@@ -396,11 +398,14 @@ TEST(SimAllocation, SteadyStateIsAllocationFree)
         MemoryImage mem(m.arrays);
         mem.fillPattern(1);
         uint64_t before = countedAllocations();
-        RunOutput out = executeLoop(m.arrays, lowered, machine, mem,
-                                    env, n_body, 0, &sr.schedule,
-                                    &plan);
+        Expected<RunOutput> out =
+            tryExecuteLoop(m.arrays, lowered, machine, mem, env, n_body,
+                           0, &sr.schedule, ExecLimits{}, &plan);
         uint64_t after = countedAllocations();
-        EXPECT_EQ(out.bodyIterations, n_body);
+        EXPECT_TRUE(out.ok()) << out.status().str();
+        if (out.ok()) {
+            EXPECT_EQ(out.value().bodyIterations, n_body);
+        }
         return after - before;
     };
 

@@ -53,12 +53,16 @@ struct Ctx
             << "test harness wants whole body iterations";
         MemoryImage ref(module.arrays);
         ref.fillPattern(99);
-        executeLoop(module.arrays, loop(), machine, ref, env, n_orig);
+        ASSERT_TRUE(
+            tryExecuteLoop(module.arrays, loop(), machine, ref, env, n_orig)
+                .ok());
 
         MemoryImage got(module.arrays);
         got.fillPattern(99);
-        executeLoop(module.arrays, transformed, machine, got, env,
-                    n_orig / transformed.coverage);
+        ASSERT_TRUE(tryExecuteLoop(module.arrays, transformed, machine,
+                                   got, env,
+                                   n_orig / transformed.coverage)
+                        .ok());
 
         EXPECT_EQ(got.diff(ref), "");
     }
@@ -255,13 +259,16 @@ loop t {
 
     MemoryImage ref(c.module.arrays);
     ref.fillPattern(5);
-    RunOutput r = executeLoop(c.module.arrays, c.loop(), mach, ref, {},
-                              64);
+    Expected<RunOutput> r =
+        tryExecuteLoop(c.module.arrays, c.loop(), mach, ref, {}, 64);
+    ASSERT_TRUE(r.ok()) << r.status().str();
     MemoryImage got(c.module.arrays);
     got.fillPattern(5);
-    RunOutput g = executeLoop(c.module.arrays, vec, mach, got, {}, 32);
-    ASSERT_TRUE(g.liveOuts.count("y"));
-    EXPECT_EQ(g.liveOuts.at("y"), r.liveOuts.at("y"));
+    Expected<RunOutput> g =
+        tryExecuteLoop(c.module.arrays, vec, mach, got, {}, 32);
+    ASSERT_TRUE(g.ok()) << g.status().str();
+    ASSERT_TRUE(g.value().liveOuts.count("y"));
+    EXPECT_EQ(g.value().liveOuts.at("y"), r.value().liveOuts.at("y"));
 }
 
 TEST(Transform, DistanceVlCycleVectorizes)

@@ -29,12 +29,13 @@ quarantined loop simply drops out of the cycle pairing, and — since a
 quarantined loop in the candidate usually means a kernel silently
 stopped being compiled — candidate failures exit 1 under --strict.
 
---counters switches to exact-match mode for documents that carry no
-cycle metrics (bench_hotpath): every numeric leaf shared by the two
-documents must be exactly equal, and a leaf present on only one side
-is an error.  Timing leaves (ns_*, *_per_second, *_ns keys) are
-excluded — they are zeroed in CI documents and nondeterministic
-elsewhere.  Exits 1 on any mismatch.
+--counters switches to exact-match mode for deterministic documents
+(CI gates BENCH_baseline.json, BENCH_hotpath.json, BENCH_optgap.json
+and BENCH_simspeed.json with it): every numeric leaf shared by the
+two documents, cycle counts included, must be exactly equal, and a
+leaf present on only one side is an error.  Timing leaves (ns_*,
+*_per_second, *_ns keys) are excluded — they are zeroed in CI
+documents and nondeterministic elsewhere.  Exits 1 on any mismatch.
 """
 
 import argparse
@@ -183,10 +184,10 @@ def main():
                     help="how many of the worst per-loop regressions "
                          "to print (default: 10)")
     ap.add_argument("--counters", action="store_true",
-                    help="exact-match every non-timing numeric leaf "
-                         "instead of comparing cycle ratios (for "
-                         "documents without cycle metrics, e.g. "
-                         "bench_hotpath); exits 1 on any difference")
+                    help="exact-match every non-timing numeric leaf, "
+                         "cycle counts included, instead of comparing "
+                         "cycle ratios (for deterministic documents); "
+                         "exits 1 on any difference")
     args = ap.parse_args()
 
     base_doc = load(args.baseline)

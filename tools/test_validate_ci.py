@@ -5,7 +5,8 @@ Usage: test_validate_ci.py [path/to/ci.yml]
 
 Loads the real workflow, applies one mutation at a time — dropping a
 lane, dropping a job timeout, drifting a fuzz seed count, ungating
-the nightly sweep, stripping the memo-off byte comparison — and runs
+the nightly sweep, stripping the memo-off byte comparison, turning
+the Table 2 counter gate back into a warning — and runs
 validate_ci.py on the mutated copy, checking that it rejects the
 mutation with the expected message.  The pristine workflow must pass.
 A validator whose checks cannot fail is decoration, not a contract.
@@ -129,6 +130,13 @@ def main():
                                 "BENCH_table2_nocache.json",
                                 "true"),
         "--no-cache document")
+
+    check_rejects(
+        "bench-smoke without the exact-counter gate is rejected",
+        lambda doc: patch_steps(doc["jobs"]["bench-smoke"],
+                                "bench_compare.py --counters",
+                                "bench_compare.py"),
+        "--counters")
 
     check_rejects(
         "optgap without its ctest label is rejected",

@@ -8,9 +8,10 @@ contract lanes — build-test (gcc/clang x Release/Debug), sanitize
 (fuzzish label under ASan/UBSan), tsan (parallel + fuzzish labels
 under ThreadSanitizer), format, bench-smoke (jobs-determinism check,
 a --no-cache document cmp'd against the cached one, JSON artifact +
-baseline comparison), perf-smoke (hotpath tests, SELVEC_CHECK_INCREMENTAL cross-check run,
-artifact upload and the exact-counter gate against
-BENCH_hotpath.json), fuzz-smoke (containment label, the
+the exact-counter gate against BENCH_baseline.json), perf-smoke
+(hotpath tests, SELVEC_CHECK_INCREMENTAL cross-check run, artifact
+upload and the exact-counter gate against BENCH_hotpath.json),
+fuzz-smoke (containment label, the
 deadline-bounded selvec_fuzz sweep with --repro-dir and
 --replay-check, and the on-failure repro-bundle artifact upload),
 optgap
@@ -131,6 +132,14 @@ def main():
         fail("bench-smoke must diff against the checked-in baseline")
     if "BENCH_baseline.json" not in bench:
         fail("bench-smoke must reference BENCH_baseline.json")
+    # The Table 2 document is deterministic, so its diff is the same
+    # exact gate the other counter documents get, never a warning.
+    if not any("bench_compare.py" in str(step.get("run", ""))
+               and "--counters" in str(step.get("run", ""))
+               and "BENCH_baseline.json" in str(step.get("run", ""))
+               for step in jobs["bench-smoke"].get("steps", [])):
+        fail("bench-smoke must gate counters against "
+             "BENCH_baseline.json with bench_compare.py --counters")
     perf = steps_text("perf-smoke")
     if "-L hotpath" not in perf:
         fail("perf-smoke must run the hotpath ctest label")
