@@ -5,7 +5,7 @@
  *
  *   selvec_fuzz [--seeds N] [--seed-start N] [--deadline-ms N]
  *               [--repro-dir D] [--force-fault SPEC] [--replay-check]
- *               [--optgap]
+ *   selvec_fuzz --optgap [--seeds N] [--seed-start N] [--deadline-ms N]
  *
  * Each seed deterministically derives a generated loop, a randomized
  * stock-machine variant, a technique, a trip count and (for ~30% of
@@ -45,7 +45,10 @@
  * regression is a bug in the search, not bad luck). Any seed with a
  * strict gap is additionally replayed end-to-end under
  * strategy=exact: the cheaper partition must still produce a
- * checker-clean program. Fault injection is disabled in this mode.
+ * checker-clean program. The mode injects no faults and writes no
+ * bundle, so --optgap with --repro-dir, --replay-check or
+ * --force-fault is a usage error (exit 2), like --replay-check alone:
+ * the flag would be silently ignored.
  *
  * The sweep is serial by design: fault plans are process-global.
  */
@@ -318,7 +321,9 @@ usage()
     std::fprintf(stderr,
                  "usage: selvec_fuzz [--seeds N] [--seed-start N] "
                  "[--deadline-ms N] [--repro-dir D] "
-                 "[--force-fault SPEC] [--replay-check] [--optgap]\n");
+                 "[--force-fault SPEC] [--replay-check]\n"
+                 "       selvec_fuzz --optgap [--seeds N] "
+                 "[--seed-start N] [--deadline-ms N]\n");
     return 2;
 }
 
@@ -379,6 +384,15 @@ main(int argc, char **argv)
         } else {
             return usage();
         }
+    }
+    if (config.optgap &&
+        (!config.reproDir.empty() || config.replayCheck ||
+         !config.forceFault.empty())) {
+        std::fprintf(stderr, "--optgap takes none of --repro-dir, "
+                             "--replay-check, --force-fault: its "
+                             "sweep injects no faults and writes no "
+                             "bundle\n");
+        return usage();
     }
     if (config.replayCheck && config.reproDir.empty()) {
         std::fprintf(stderr, "--replay-check needs --repro-dir: it "

@@ -31,13 +31,18 @@ class Rng
     uint64_t
     next()
     {
-        uint64_t x = state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        state = x;
-        return x * 0x2545f4914f6cdd1dULL;
+        state = advance(state);
+        return state * 0x2545f4914f6cdd1dULL;
     }
+
+    /**
+     * Skip `n` draws: afterwards the generator is exactly where `n`
+     * calls of next() would have left it. The state update is linear
+     * over GF(2), so the jump multiplies the state by precomputed
+     * 64x64 bit matrices, one per set bit of `n` (well under a
+     * microsecond for any block of a memory image).
+     */
+    void discard(uint64_t n);
 
     /** Uniform integer in [lo, hi] inclusive. */
     int64_t
@@ -60,6 +65,16 @@ class Rng
     bool chance(double p) { return unit() < p; }
 
   private:
+    /** xorshift64's state update: a linear map over GF(2)^64. */
+    static constexpr uint64_t
+    advance(uint64_t x)
+    {
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        return x;
+    }
+
     uint64_t state;
 };
 

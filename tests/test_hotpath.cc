@@ -18,7 +18,12 @@
  *  - computeRecMii equals the whole-graph Floyd-Warshall search it
  *    replaced (kept here as referenceRecMii) on the kernels, the suite
  *    loops and generated loops, and recurrencesAdmit agrees with the
- *    reference around each RecMII.
+ *    reference around each RecMII;
+ *  - the lazy MemoryImage reads, copies and diffs exactly like the
+ *    eager image it replaced (kept here as ReferenceImage, with
+ *    referenceFillPattern and referenceDiff): every cell, guards
+ *    included, of the suite, kernel, generated and block-edge tables,
+ *    and the first mismatch with its message.
  *
  * This binary links the counting allocator (counting_alloc.cc), which
  * replaces the global operator new, so these tests live apart from
@@ -28,7 +33,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/depgraph.hh"
@@ -43,6 +50,7 @@
 #include "machine/machine.hh"
 #include "pipeline/lowering.hh"
 #include "pipeline/modsched.hh"
+#include "sim/memimage.hh"
 #include "support/checkmode.hh"
 #include "support/random.hh"
 #include "workloads/generator.hh"
@@ -369,6 +377,366 @@ TEST(Hotpath, RecMiiMatchesReferenceOnGeneratedLoops)
         expectFormsMatchReference(
             gen.module.arrays, gen.loop(), machine,
             machine.name + " seed " + std::to_string(seed));
+    }
+}
+
+// ----------------------------------------------------------- MemoryImage
+
+constexpr int64_t kGuard = MemoryImage::kGuard;
+
+/** The eager memory image MemoryImage replaced: every cell stored up
+ *  front, guards zero. */
+struct ReferenceImage
+{
+    const ArrayTable &table;
+    std::vector<std::vector<uint64_t>> data;
+
+    explicit ReferenceImage(const ArrayTable &arrays) : table(arrays)
+    {
+        data.resize(static_cast<size_t>(arrays.size()));
+        for (ArrayId a = 0; a < arrays.size(); ++a) {
+            data[static_cast<size_t>(a)].assign(
+                static_cast<size_t>(arrays[a].size + 2 * kGuard), 0);
+        }
+    }
+
+    uint64_t
+    cell(ArrayId arr, int64_t index) const
+    {
+        return data[static_cast<size_t>(arr)]
+                   [static_cast<size_t>(index + kGuard)];
+    }
+
+    void
+    storeF(ArrayId arr, int64_t index, double v)
+    {
+        data[static_cast<size_t>(arr)]
+            [static_cast<size_t>(index + kGuard)] =
+                std::bit_cast<uint64_t>(v);
+    }
+
+    void
+    storeI(ArrayId arr, int64_t index, int64_t v)
+    {
+        data[static_cast<size_t>(arr)]
+            [static_cast<size_t>(index + kGuard)] =
+                static_cast<uint64_t>(v);
+    }
+};
+
+/*
+ * The eager fill and the per-element diff MemoryImage replaced, kept
+ * verbatim as its reference.
+ */
+
+void
+referenceFillPattern(ReferenceImage &image, uint64_t seed)
+{
+    Rng rng(seed);
+    for (ArrayId a = 0; a < image.table.size(); ++a) {
+        const ArrayInfo &info = image.table[a];
+        for (int64_t i = 0; i < info.size; ++i) {
+            if (info.elemType == Type::F64) {
+                // Small magnitudes keep every technique's arithmetic
+                // exactly representable enough for bitwise comparison.
+                double v = static_cast<double>(rng.range(-1024, 1024)) /
+                           32.0;
+                image.storeF(a, i, v);
+            } else {
+                image.storeI(a, i, rng.range(-4096, 4096));
+            }
+        }
+    }
+}
+
+/** One differing element, each side printed in the array's type. */
+std::string
+describeMismatch(const ArrayInfo &info, int64_t i, uint64_t lhs,
+                 uint64_t rhs)
+{
+    if (info.elemType == Type::F64) {
+        return strfmt("%s[%lld]: %.17g vs %.17g", info.name.c_str(),
+                      static_cast<long long>(i),
+                      std::bit_cast<double>(lhs),
+                      std::bit_cast<double>(rhs));
+    }
+    return strfmt("%s[%lld]: %lld vs %lld", info.name.c_str(),
+                  static_cast<long long>(i), static_cast<long long>(lhs),
+                  static_cast<long long>(rhs));
+}
+
+std::string
+referenceDiff(const ReferenceImage &image, const ReferenceImage &other)
+{
+    SV_ASSERT(image.table.size() == other.table.size(),
+              "comparing images over different array tables");
+    for (ArrayId a = 0; a < image.table.size(); ++a) {
+        const ArrayInfo &info = image.table[a];
+        if (info.synthesized)
+            continue;
+        for (int64_t i = 0; i < info.size; ++i) {
+            uint64_t lhs = image.cell(a, i);
+            uint64_t rhs = other.cell(a, i);
+            if (lhs != rhs)
+                return describeMismatch(info, i, lhs, rhs);
+        }
+    }
+    return "";
+}
+
+/** One cell of `mem`, read through the load of its array's type. */
+uint64_t
+loadBits(const MemoryImage &mem, ArrayId arr, int64_t index)
+{
+    if (mem.arrays()[arr].elemType == Type::F64)
+        return std::bit_cast<uint64_t>(mem.loadF(arr, index));
+    return static_cast<uint64_t>(mem.loadI(arr, index));
+}
+
+/** Every cell of every array, guards included, in an order shuffled
+ *  by `seed`. */
+std::vector<std::pair<ArrayId, int64_t>>
+shuffledCells(const ArrayTable &arrays, uint64_t seed)
+{
+    std::vector<std::pair<ArrayId, int64_t>> cells;
+    for (ArrayId a = 0; a < arrays.size(); ++a) {
+        for (int64_t i = -kGuard; i < arrays[a].size + kGuard; ++i)
+            cells.emplace_back(a, i);
+    }
+    Rng rng(seed);
+    for (size_t i = cells.size(); i > 1; --i) {
+        size_t j = static_cast<size_t>(
+            rng.range(0, static_cast<int64_t>(i) - 1));
+        std::swap(cells[i - 1], cells[j]);
+    }
+    return cells;
+}
+
+/** Expect every cell of `mem` to read as `want` holds it, visited in
+ *  shuffled order so blocks fill out of order. */
+void
+expectReadsMatch(const MemoryImage &mem, const ReferenceImage &want,
+                 uint64_t order, const std::string &what)
+{
+    for (auto [a, i] : shuffledCells(want.table, order)) {
+        ASSERT_EQ(loadBits(mem, a, i), want.cell(a, i))
+            << what << ": " << want.table[a].name << "[" << i << "]";
+    }
+}
+
+/** F64 and I64 arrays of every size around a block edge, plus a
+ *  synthesized one. */
+ArrayTable
+blockEdgeTable()
+{
+    ArrayTable arrays;
+    for (int64_t size : {0, 1, 191, 192, 193, 255, 256, 257, 1000}) {
+        for (Type type : {Type::F64, Type::I64}) {
+            ArrayInfo info;
+            info.name = strfmt("%s%lld", type == Type::F64 ? "F" : "I",
+                               static_cast<long long>(size));
+            info.elemType = type;
+            info.size = size;
+            arrays.add(info);
+        }
+    }
+    ArrayInfo tmp;
+    tmp.name = "tmp";
+    tmp.size = 300;
+    tmp.synthesized = true;
+    arrays.add(tmp);
+    return arrays;
+}
+
+/** Fill both images of a table from `seed`, then expect the lazy one
+ *  to read like the eager one: fresh, after a copy taken halfway
+ *  through, and in that copy. */
+void
+expectFillMatchesReference(const ArrayTable &arrays, uint64_t seed,
+                           const std::string &what)
+{
+    ReferenceImage want(arrays);
+    referenceFillPattern(want, seed);
+    MemoryImage mem(arrays);
+    mem.fillPattern(seed);
+    std::vector<std::pair<ArrayId, int64_t>> cells =
+        shuffledCells(arrays, seed + 1);
+    for (size_t k = 0; k < cells.size() / 2; ++k) {
+        auto [a, i] = cells[k];
+        ASSERT_EQ(loadBits(mem, a, i), want.cell(a, i))
+            << what << ": " << arrays[a].name << "[" << i << "]";
+    }
+    MemoryImage copy(mem);
+    expectReadsMatch(copy, want, seed + 2, what + " copy");
+    expectReadsMatch(mem, want, seed + 3, what);
+}
+
+TEST(Hotpath, MemoryImageMatchesEagerFill)
+{
+    ArrayTable edges = blockEdgeTable();
+    for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{0xC0FFEE}})
+        expectFillMatchesReference(edges, seed, "block edges");
+    // Before any fillPattern every cell reads zero.
+    expectReadsMatch(MemoryImage(edges), ReferenceImage(edges), 7,
+                     "unfilled");
+
+    for (const Suite &suite : allSuites()) {
+        expectFillMatchesReference(suite.module.arrays, 0xC0FFEE ^ 3,
+                                   suite.name);
+    }
+    for (const std::string &file : kernelFiles()) {
+        Module module = parseLirOrDie(readKernel(file));
+        expectFillMatchesReference(module.arrays, 17, file);
+    }
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+        Rng rng(0x3E3u + seed * 7919u);
+        GeneratedLoop gen = generateLoop(rng);
+        expectFillMatchesReference(gen.module.arrays, seed,
+                                   "generated " + std::to_string(seed));
+    }
+}
+
+/** One memory image under both implementations, kept in step. */
+struct TwinImage
+{
+    MemoryImage lazy;
+    ReferenceImage eager;
+
+    explicit TwinImage(const ArrayTable &arrays)
+        : lazy(arrays), eager(arrays)
+    {}
+
+    void
+    fill(uint64_t seed)
+    {
+        lazy.fillPattern(seed);
+        referenceFillPattern(eager, seed);
+    }
+
+    /** Store `bits` plus the cell's current value, so a zero `bits`
+     *  stores what is there already. */
+    void
+    bump(ArrayId arr, int64_t index, uint64_t bits)
+    {
+        uint64_t v = eager.cell(arr, index) + bits;
+        lazy.storeI(arr, index, static_cast<int64_t>(v));
+        eager.storeI(arr, index, static_cast<int64_t>(v));
+    }
+
+    /** Read a cell through the lazy image, filling its block. */
+    void
+    touch(ArrayId arr, int64_t index) const
+    {
+        EXPECT_EQ(loadBits(lazy, arr, index), eager.cell(arr, index));
+    }
+};
+
+/** Expect both diff directions to give the reference's answer, and
+ *  return the lazy one. */
+std::string
+expectDiffMatches(const TwinImage &lhs, const TwinImage &rhs,
+                  const std::string &what)
+{
+    std::string got = lhs.lazy.diff(rhs.lazy);
+    EXPECT_EQ(got, referenceDiff(lhs.eager, rhs.eager)) << what;
+    EXPECT_EQ(rhs.lazy.diff(lhs.lazy),
+              referenceDiff(rhs.eager, lhs.eager))
+        << what << " (reversed)";
+    return got;
+}
+
+TEST(Hotpath, MemoryImageDiffMatchesEagerDiff)
+{
+    ArrayTable edges = blockEdgeTable();
+    Suite nasa7 = allSuites().front();
+    for (const ArrayTable *arrays : {&edges, &nasa7.module.arrays}) {
+        TwinImage base(*arrays);
+        base.fill(0xC0FFEE);
+        EXPECT_EQ(expectDiffMatches(base, TwinImage(base), "copy"), "");
+
+        // One planted mismatch per case: the first cell, both sides
+        // of each block edge, and the last (partial) block. The copy
+        // fills the mismatch's block alone unless `both` touches it
+        // on the base side too.
+        for (ArrayId a = 0; a < arrays->size(); ++a) {
+            int64_t size = (*arrays)[a].size;
+            for (int64_t i : {int64_t{0}, int64_t{191}, int64_t{192},
+                              int64_t{447}, int64_t{448}, size - 1}) {
+                if (i < 0 || i >= size)
+                    continue;
+                for (bool both : {false, true}) {
+                    TwinImage lhs(base), rhs(base);
+                    if (both) {
+                        lhs.touch(a, i);
+                    }
+                    rhs.bump(a, i, 1);
+                    std::string what =
+                        strfmt("%s[%lld]%s", (*arrays)[a].name.c_str(),
+                               static_cast<long long>(i),
+                               both ? " both filled" : "");
+                    std::string got = expectDiffMatches(lhs, rhs, what);
+                    if (!(*arrays)[a].synthesized) {
+                        EXPECT_NE(got, "") << what;
+                    }
+                }
+            }
+        }
+
+        // The first mismatch wins, though a later one is in a block
+        // filled earlier and on both sides.
+        auto plain = [&](ArrayId a) {
+            return (*arrays)[a].size > 0 && !(*arrays)[a].synthesized;
+        };
+        ArrayId first = 0, last = arrays->size() - 1;
+        while (!plain(first))
+            ++first;
+        while (!plain(last))
+            --last;
+        TwinImage lhs(base), rhs(base);
+        rhs.bump(last, (*arrays)[last].size - 1, 5);
+        lhs.touch(last, (*arrays)[last].size - 1);
+        rhs.bump(first, 0, 3);
+        EXPECT_NE(expectDiffMatches(lhs, rhs, "two mismatches"), "");
+
+        // A store of the value already there is no mismatch.
+        TwinImage same(base);
+        same.bump(last, 0, 0);
+        EXPECT_EQ(expectDiffMatches(base, same, "equal store"), "");
+
+        // A store before the copy travels with it.
+        TwinImage stored(base);
+        stored.bump(first, 0, 9);
+        TwinImage copy(stored);
+        EXPECT_EQ(expectDiffMatches(stored, copy, "stored copy"), "");
+        EXPECT_NE(expectDiffMatches(base, copy, "stored copy vs base"),
+                  "");
+        copy.bump(last, 0, 2);
+        EXPECT_NE(expectDiffMatches(stored, copy, "write to a copy"), "");
+
+        // Different seeds, and filled against unfilled images.
+        TwinImage other(*arrays), blank(*arrays), blank2(*arrays);
+        other.fill(0xC0FFEF);
+        other.touch(last, 0);
+        EXPECT_NE(expectDiffMatches(base, other, "different seeds"), "");
+        EXPECT_NE(expectDiffMatches(base, blank, "filled vs unfilled"),
+                  "");
+        blank2.bump(first, 0, 4);
+        EXPECT_NE(expectDiffMatches(blank, blank2, "unfilled stored"),
+                  "");
+        EXPECT_EQ(expectDiffMatches(blank, TwinImage(*arrays),
+                                    "both unfilled"),
+                  "");
+
+        // fillPattern after stores restores the pattern everywhere.
+        TwinImage refilled(*arrays);
+        refilled.fill(0xC0FFEF);
+        refilled.bump(first, 0, 6);
+        refilled.bump(last, (*arrays)[last].size - 1, 6);
+        refilled.fill(0xC0FFEE);
+        EXPECT_EQ(expectDiffMatches(base, refilled, "refilled"), "");
+        refilled.fill(0xC0FFEF);
+        EXPECT_NE(expectDiffMatches(base, refilled, "refilled other"),
+                  "");
     }
 }
 

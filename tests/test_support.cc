@@ -80,6 +80,33 @@ TEST(Rng, UnitInHalfOpenInterval)
     }
 }
 
+TEST(Rng, DiscardMatchesRepeatedNext)
+{
+    const uint64_t seeds[] = {0, 1, 0xC0FFEE, 0x9e3779b97f4a7c15ULL,
+                              ~uint64_t{0}};
+    const uint64_t counts[] = {0,   1,   2,    63,    64,    65,
+                               255, 256, 257,  4095,  70000, 770000};
+    for (uint64_t seed : seeds) {
+        for (uint64_t n : counts) {
+            Rng stepped(seed), jumped(seed);
+            for (uint64_t i = 0; i < n; ++i)
+                stepped.next();
+            jumped.discard(n);
+            for (int i = 0; i < 4; ++i) {
+                ASSERT_EQ(jumped.next(), stepped.next())
+                    << "seed " << seed << ", " << n << " discarded, draw "
+                    << i;
+            }
+        }
+    }
+    // Jumps compose: two discards land where one of their sum does.
+    Rng once(42), twice(42);
+    once.discard(770000 + 257);
+    twice.discard(770000);
+    twice.discard(257);
+    EXPECT_EQ(once.next(), twice.next());
+}
+
 TEST(Rng, ChanceExtremes)
 {
     Rng rng(13);

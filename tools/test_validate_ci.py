@@ -95,6 +95,12 @@ def main():
         "has no timeout-minutes")
 
     check_rejects(
+        "dropping hotpath from the sanitize labels is rejected",
+        lambda doc: patch_steps(doc["jobs"]["sanitize"],
+                                "fuzzish|hotpath", "fuzzish"),
+        "fuzzish and hotpath")
+
+    check_rejects(
         "dropping fuzzish from the tsan labels is rejected",
         lambda doc: patch_steps(doc["jobs"]["tsan"],
                                 "parallel|fuzzish", "parallel"),

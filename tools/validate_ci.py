@@ -5,7 +5,7 @@ Usage: validate_ci.py [path/to/ci.yml]
 
 Checks that the workflow parses as YAML and still carries the nine
 contract lanes — build-test (gcc/clang x Release/Debug), sanitize
-(fuzzish label under ASan/UBSan), tsan (parallel + fuzzish labels
+(fuzzish + hotpath labels under ASan/UBSan), tsan (parallel + fuzzish labels
 under ThreadSanitizer), format, bench-smoke (jobs-determinism check,
 a --no-cache document cmp'd against the cached one, JSON artifact +
 the exact-counter gate against BENCH_baseline.json), perf-smoke
@@ -105,8 +105,8 @@ def main():
     san = steps_text("sanitize")
     if "SELVEC_SANITIZE=address,undefined" not in san:
         fail("sanitize must configure -DSELVEC_SANITIZE=address,undefined")
-    if "-L fuzzish" not in san:
-        fail("sanitize must run the fuzzish ctest label")
+    if "fuzzish" not in san or "hotpath" not in san:
+        fail("sanitize must run the fuzzish and hotpath ctest labels")
     tsan = steps_text("tsan")
     if "SELVEC_SANITIZE=thread" not in tsan:
         fail("tsan must configure -DSELVEC_SANITIZE=thread")
